@@ -20,8 +20,6 @@ from .suppression import (
     ScoredMask,
     SuppressionConfig,
     SuppressionResult,
-    decay_gauss,
-    decay_linear,
     fast_nms,
     hard_nms,
     matrix_nms,
@@ -64,8 +62,8 @@ __all__ = [
     "mask_area", "mask_iou", "mask_to_box", "pairwise_iou_matrix",
     "rle_decode", "rle_encode",
     "DecayFn", "ScoredMask", "SuppressionConfig", "SuppressionResult",
-    "decay_gauss", "decay_linear", "fast_nms", "hard_nms", "matrix_nms",
-    "soft_nms", "sort_by_score", "suppress",
+    "fast_nms", "hard_nms", "matrix_nms", "soft_nms", "sort_by_score",
+    "suppress",
     "CategoryGrid", "FeatureMap", "FusionWeights", "Instance", "KernelGrid",
     "PyramidLevels", "SoftMask", "assemble_masks", "bilinear_upsample_2x",
     "coord_channels", "dynamic_conv_1x1", "dynamic_conv_3x3", "fuse_pyramid",

@@ -105,7 +105,6 @@ def run_bench(
     methods: Sequence[str] = METHODS,
     repeats: int = 20,
     config: Optional[SuppressionConfig] = None,
-    threads: int = 1,
     verify: bool = True,
 ) -> list:
     """Benchmark the suppression methods on one scene (pooled class-agnostic).
@@ -125,11 +124,11 @@ def run_bench(
     masks = [scene[i] for i in order]
     mask_list = [m.mask for m in masks]
 
-    ious = pairwise_iou_matrix(mask_list, threads=threads)
+    ious = pairwise_iou_matrix(mask_list)
     build_times = []
     for _ in range(min(repeats, 5)):
         t0 = time.perf_counter()
-        pairwise_iou_matrix(mask_list, threads=threads)
+        pairwise_iou_matrix(mask_list)
         build_times.append(time.perf_counter() - t0)
     iou_ms = _median_ms(build_times)
 
@@ -200,11 +199,9 @@ def _check_rle(rng) -> VerifyCheck:
     return VerifyCheck("rle-round-trip", True, "300 random masks")
 
 
-def _check_iou(rng, threads: int) -> VerifyCheck:
+def _check_iou(rng) -> VerifyCheck:
     masks = [m.mask for m in _random_scored(rng, 40)]
     got = pairwise_iou_matrix(masks)
-    if not np.array_equal(got.values, pairwise_iou_matrix(masks, threads).values):
-        return VerifyCheck("pairwise-iou", False, "thread count changed the result")
     for i in range(len(masks)):
         if masks[i].area and mask_iou(masks[i], masks[i]) != 1.0:
             return VerifyCheck("pairwise-iou", False, "self IoU != 1")
@@ -214,7 +211,7 @@ def _check_iou(rng, threads: int) -> VerifyCheck:
                 return VerifyCheck("pairwise-iou", False, f"mismatch at {(i, j)}")
             if not 0.0 <= direct <= 1.0:
                 return VerifyCheck("pairwise-iou", False, "IoU out of bounds")
-    return VerifyCheck("pairwise-iou", True, "40 masks, all pairs, 1 vs N threads")
+    return VerifyCheck("pairwise-iou", True, "40 masks, all pairs")
 
 
 def _scene_batch(seed: int, count: int) -> list:
@@ -354,26 +351,20 @@ def seeded_pipeline_inputs(seed: int = 0):
     return CategoryGrid(cat), KernelGrid(kernels, out_channels), pyramid
 
 
-def _pipeline_json(threads: int, seed: int = 11) -> str:
+def _pipeline_json(seed: int = 11) -> str:
     cat, kernels, pyramid = seeded_pipeline_inputs(seed)
-    instances = inference_pipeline(cat, kernels, pyramid, threads=threads)
+    instances = inference_pipeline(cat, kernels, pyramid)
     return formats.to_json(formats.instances_to_dict(instances))
 
 
-def _check_pipeline(rng, threads: int) -> VerifyCheck:
-    base = _pipeline_json(1)
+def _check_pipeline(rng) -> VerifyCheck:
+    base = _pipeline_json()
     for _ in range(2):
-        if _pipeline_json(1) != base:
+        if _pipeline_json() != base:
             return VerifyCheck("pipeline-determinism", False, "rerun differs")
-    if _pipeline_json(threads) != base:
-        return VerifyCheck(
-            "pipeline-determinism", False, f"threads=1 vs {threads} differ"
-        )
     if not base.strip():
         return VerifyCheck("pipeline-determinism", False, "empty output")
-    return VerifyCheck(
-        "pipeline-determinism", True, f"3 runs + threads 1 vs {threads}, byte-equal"
-    )
+    return VerifyCheck("pipeline-determinism", True, "3 runs, byte-equal")
 
 
 def _check_scene_determinism(rng) -> VerifyCheck:
@@ -390,12 +381,12 @@ def _check_scene_determinism(rng) -> VerifyCheck:
     return VerifyCheck("scene-generation", True, "25 masks, rerun identical")
 
 
-def run_verification(seed: int = 0, threads: int = 8) -> list:
+def run_verification(seed: int = 0) -> list:
     """The full oracle suite at CLI scale; returns one VerifyCheck per area."""
     rng = np.random.default_rng(seed)
     checks = [
         _check_rle(rng),
-        _check_iou(rng, threads),
+        _check_iou(rng),
         _check_matrix_decay(rng),
         _check_soft_agreement(rng),
         _check_hard_greedy(rng),
@@ -403,6 +394,6 @@ def run_verification(seed: int = 0, threads: int = 8) -> list:
         _check_conv(rng),
         _check_loss_grads(rng),
         _check_scene_determinism(rng),
-        _check_pipeline(rng, threads),
+        _check_pipeline(rng),
     ]
     return checks

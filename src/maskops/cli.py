@@ -7,28 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bench, formats
 from .scenes import SceneSpec, gen_scene
 from .suppression import METHODS, DecayFn, SuppressionConfig, suppress
-
-THREADS_ENV = "MASKOPS_THREADS"
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1")
-    return value
-
 
 def _add_scene_flags(p: argparse.ArgumentParser, instances: int):
     p.add_argument("--height", type=int, default=128)
@@ -41,19 +24,21 @@ def _add_scene_flags(p: argparse.ArgumentParser, instances: int):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=METHODS, default="matrix")
+def _add_method_params(p: argparse.ArgumentParser):
     p.add_argument("--decay", choices=("linear", "gauss"), default="gauss")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--iou-threshold", type=float, default=0.5)
     p.add_argument("--score-threshold", type=float, default=0.05)
+
+
+def _add_config_flags(p: argparse.ArgumentParser):
+    p.add_argument("--method", choices=METHODS, default="matrix")
+    _add_method_params(p)
     p.add_argument("--top-k", type=int, default=100)
     p.add_argument("--class-agnostic", action="store_true")
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default ${THREADS_ENV} or 1)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -79,10 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scene_flags(ben, instances=100)
     ben.add_argument("--method", choices=METHODS, default=None,
                      help="bench a single method (default: all)")
-    ben.add_argument("--decay", choices=("linear", "gauss"), default="gauss")
-    ben.add_argument("--sigma", type=float, default=0.5)
-    ben.add_argument("--iou-threshold", type=float, default=0.5)
-    ben.add_argument("--score-threshold", type=float, default=0.05)
+    _add_method_params(ben)
     ben.add_argument("--repeats", type=int, default=20)
     ben.add_argument("--no-verify", action="store_true",
                      help="skip the oracle cross-checks before timing")
@@ -90,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the full oracle suite")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--threads", type=int, default=8,
-                     help="thread count compared against 1 in determinism checks")
     return parser
 
 
@@ -123,22 +103,25 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> SuppressionConfig:
+def _config_from_args(args, **fields) -> SuppressionConfig:
+    """The `_add_method_params` flags plus any further config fields."""
     return SuppressionConfig(
-        method=args.method,
         decay=DecayFn(args.decay, args.sigma),
         iou_threshold=args.iou_threshold,
         score_threshold=args.score_threshold,
-        top_k=args.top_k,
-        class_agnostic=args.class_agnostic,
+        **fields,
     )
 
 
 def _cmd_suppress(args) -> int:
     masks = formats.read_mask_set(args.input)
-    config = _config_from_args(args)
-    threads = args.threads if args.threads is not None else _default_threads()
-    result = suppress(masks, config, threads=threads)
+    config = _config_from_args(
+        args,
+        method=args.method,
+        top_k=args.top_k,
+        class_agnostic=args.class_agnostic,
+    )
+    result = suppress(masks, config)
     doc = formats.kept_to_dict(masks, result)
     if args.format == "json":
         _emit(formats.to_json(doc), args.out)
@@ -159,19 +142,12 @@ def _cmd_bench(args) -> int:
     else:
         scene, _ = _scene_from_args(args)
     methods = [args.method] if args.method else list(METHODS)
-    config = SuppressionConfig(
-        method=methods[0],
-        decay=DecayFn(args.decay, args.sigma),
-        iou_threshold=args.iou_threshold,
-        score_threshold=args.score_threshold,
-    )
-    threads = args.threads if args.threads is not None else _default_threads()
+    config = _config_from_args(args, method=methods[0])
     reports = bench.run_bench(
         scene,
         methods=methods,
         repeats=args.repeats,
         config=config,
-        threads=threads,
         verify=not args.no_verify,
     )
     if args.format == "json":
@@ -204,7 +180,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = bench.run_verification(seed=args.seed, threads=args.threads)
+    checks = bench.run_verification(seed=args.seed)
     failed = 0
     for c in checks:
         status = "PASS" if c.passed else "FAIL"

@@ -3,7 +3,6 @@ feature map fused from a resolution pyramid, plus the inference pipeline."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -424,14 +423,12 @@ def assemble_masks(
     feature: FeatureMap,
     confidence_threshold: float = 0.1,
     mask_threshold: float = 0.5,
-    threads: int = 1,
 ) -> list:
     """Instantiate a ScoredMask for every (cell, class) whose category score
     exceeds the confidence threshold: convolve the cell's kernel with the
     feature, sigmoid, binarize. Cells yielding empty masks are dropped.
 
-    Cells are independent, so they may be evaluated by a thread pool; output
-    order is always (grid index k, then category).
+    Output order is (grid index k, then category).
     """
     if category.grid_size != kernels.grid_size:
         raise ValueError("category and kernel grids must agree in size")
@@ -439,26 +436,20 @@ def assemble_masks(
         raise ValueError("kernel grid was built for a different channel count")
     conv = dynamic_conv_1x1 if kernels.kernel_size == 1 else dynamic_conv_3x3
     s = category.grid_size
-
-    def cell(k: int):
+    out = []
+    for k in range(s * s):
         i, j = divmod(k, s)
         hits = np.flatnonzero(category.data[i, j] > confidence_threshold)
         if hits.size == 0:
-            return []
+            continue
         soft = SoftMask.from_logits(conv(feature, kernels.data[i, j]))
         binary = soft.binarize(mask_threshold)
         if binary.area == 0:
-            return []
-        return [
+            continue
+        out.extend(
             ScoredMask(binary, float(category.data[i, j, c]), int(c)) for c in hits
-        ]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(cell, range(s * s)))
-    else:
-        per_cell = [cell(k) for k in range(s * s)]
-    return [m for group in per_cell for m in group]
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -478,7 +469,6 @@ def inference_pipeline(
     config: Optional[SuppressionConfig] = None,
     confidence_threshold: float = 0.1,
     mask_threshold: float = 0.5,
-    threads: int = 1,
 ) -> list:
     """fuse_pyramid -> assemble_masks -> suppress -> boxes, deterministically."""
     feature = fuse_pyramid(pyramid)
@@ -488,9 +478,8 @@ def inference_pipeline(
         feature,
         confidence_threshold=confidence_threshold,
         mask_threshold=mask_threshold,
-        threads=threads,
     )
-    result = suppress(masks, config, threads=threads)
+    result = suppress(masks, config)
     return [
         Instance(masks[i].mask, mask_to_box(masks[i].mask), s, masks[i].category)
         for i, s in zip(result.kept_indices, result.updated_scores)

@@ -39,18 +39,39 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
     return {"height": h, "width": w, "instances": instances}
 
 
+def _json_int(value, name: str) -> int:
+    # bool is a subclass of int, so compare the exact type: JSON true, 1.0
+    # and "1" are all rejected rather than coerced.
+    if type(value) is not int:
+        raise ValueError(
+            f"malformed mask set: {name} must be an integer, got {value!r}"
+        )
+    return value
+
+
 def mask_set_from_dict(doc: dict) -> list:
+    """Parse a mask-set document. Dimensions, counts and categories must be
+    JSON integers and scores JSON numbers; nothing is coerced."""
     try:
-        h, w = int(doc["height"]), int(doc["width"])
-        entries = doc["instances"]
-        masks = [
-            ScoredMask(
-                rle_decode(RleMask(h, w, tuple(e["counts"]))),
-                float(e["score"]),
-                int(e.get("category", 0)),
+        h, w = _json_int(doc["height"], "height"), _json_int(doc["width"], "width")
+        masks = []
+        for e in doc["instances"]:
+            counts, score = e["counts"], e["score"]
+            if type(counts) is not list or not set(map(type, counts)) <= {int}:
+                raise ValueError(
+                    "malformed mask set: counts must be a list of integers"
+                )
+            if type(score) not in (int, float):
+                raise ValueError(
+                    f"malformed mask set: score must be a number, got {score!r}"
+                )
+            masks.append(
+                ScoredMask(
+                    rle_decode(RleMask(h, w, tuple(counts))),
+                    float(score),
+                    _json_int(e.get("category", 0), "category"),
+                )
             )
-            for e in entries
-        ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed mask set: {exc}") from exc
     return masks

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -159,12 +158,8 @@ class IoUMatrix:
         return self.values.shape[0]
 
 
-def pairwise_iou_matrix(masks: Sequence[BinaryMask], threads: int = 1) -> IoUMatrix:
-    """All-pairs IoU over a mask list, upper triangle only.
-
-    Rows are independent, so they may be computed by a thread pool; the result
-    is identical for any thread count.
-    """
+def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
+    """All-pairs IoU over a mask list, upper triangle only."""
     n = len(masks)
     out = np.zeros((n, n), dtype=np.float64)
     if n > 1:
@@ -173,20 +168,12 @@ def pairwise_iou_matrix(masks: Sequence[BinaryMask], threads: int = 1) -> IoUMat
             _check_same_dims(first, m)
         words = np.stack([m.words for m in masks])
         areas = np.array([m.area for m in masks], dtype=np.int64)
-
-        def fill_row(i: int):
+        for i in range(n - 1):
             inter = np.bitwise_count(words[i] & words[i + 1 :]).sum(
                 axis=1, dtype=np.int64
             )
             union = areas[i] + areas[i + 1 :] - inter
             np.divide(inter, union, out=out[i, i + 1 :], where=union > 0)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill_row, range(n - 1)))
-        else:
-            for i in range(n - 1):
-                fill_row(i)
     return IoUMatrix(out)
 
 

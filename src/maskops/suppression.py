@@ -117,20 +117,6 @@ def sort_by_score(masks: Sequence[ScoredMask]):
     return list(order)
 
 
-def decay_linear(iou: float, compensation: float) -> float:
-    """(1 - iou) / (1 - compensation); raises when the denominator vanishes."""
-    if compensation >= 1.0:
-        raise ValueError("linear decay is singular at compensation IoU = 1")
-    return (1.0 - iou) / (1.0 - compensation)
-
-
-def decay_gauss(iou: float, compensation: float, sigma: float = 0.5) -> float:
-    """exp(-iou^2/sigma) / exp(-compensation^2/sigma), always finite."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    return float(np.exp((compensation * compensation - iou * iou) / sigma))
-
-
 def _scores_sorted(masks: Sequence[ScoredMask]) -> np.ndarray:
     scores = np.array([m.score for m in masks], dtype=np.float64)
     if scores.size > 1 and np.any(np.diff(scores) > 0.0):
@@ -301,7 +287,6 @@ def soft_nms(
 def suppress(
     masks: Sequence[ScoredMask],
     config: Optional[SuppressionConfig] = None,
-    threads: int = 1,
 ) -> SuppressionResult:
     """Run the configured method per category (or on the whole pool when
     class_agnostic), then apply the global score threshold and top_k.
@@ -320,7 +305,7 @@ def suppress(
         order = sort_by_score([masks[i] for i in members])
         orig = [members[p] for p in order]
         group = [masks[i] for i in orig]
-        ious = pairwise_iou_matrix([m.mask for m in group], threads=threads)
+        ious = pairwise_iou_matrix([m.mask for m in group])
         if cfg.method == "matrix":
             res = matrix_nms(group, ious, cfg.decay)
         elif cfg.method == "hard":

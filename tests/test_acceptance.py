@@ -261,19 +261,15 @@ def test_07_loss_gradients_match_finite_differences():
 def test_08_pipeline_output_is_deterministic():
     category, kernels, pyramid = seeded_pipeline_inputs(808)
 
-    def render(threads: int) -> bytes:
-        instances = inference_pipeline(category, kernels, pyramid, threads=threads)
+    def render() -> bytes:
+        instances = inference_pipeline(category, kernels, pyramid)
         return formats.to_json(formats.instances_to_dict(instances)).encode()
 
-    runs = [render(threads=1) for _ in range(10)]
-    threaded = render(threads=8)
-    identical = all(r == runs[0] for r in runs) and threaded == runs[0]
+    runs = [render() for _ in range(10)]
+    identical = all(r == runs[0] for r in runs)
     count = runs[0].count(b'"score"')
     _report(
-        8,
-        identical and count > 0,
-        f"10 single-thread runs and a threads=8 run all byte-identical "
-        f"({count} instances)",
+        8, identical and count > 0, f"10 runs all byte-identical ({count} instances)"
     )
 
 

@@ -4,7 +4,6 @@ import pytest
 from maskops import (
     BenchReport,
     SceneSpec,
-    SuppressionConfig,
     gen_scene,
     run_bench,
     run_verification,
@@ -55,14 +54,6 @@ def test_bad_arguments():
         run_bench([], repeats=3)
 
 
-def test_config_threads_passthrough():
-    scene = gen_scene(SMALL)
-    cfg = SuppressionConfig(iou_threshold=0.6, score_threshold=0.01)
-    a = run_bench(scene, methods=("hard",), repeats=3, config=cfg, threads=1)
-    b = run_bench(scene, methods=("hard",), repeats=3, config=cfg, threads=4)
-    assert a[0].checksum == b[0].checksum
-
-
 def test_score_checksum_sensitivity():
     base = score_checksum([0.5, 0.25])
     assert base == score_checksum([0.5, 0.25])
@@ -71,7 +62,7 @@ def test_score_checksum_sensitivity():
 
 
 def test_run_verification_all_pass():
-    checks = run_verification(seed=0, threads=2)
+    checks = run_verification(seed=0)
     assert len(checks) >= 8
     for c in checks:
         assert c.passed, f"{c.name}: {c.detail}"

@@ -105,7 +105,7 @@ def test_bench_single_method_table(capsys):
 
 
 def test_verify_passes(capsys):
-    code, out, _ = run_cli(["verify", "--seed", "1", "--threads", "2"], capsys)
+    code, out, _ = run_cli(["verify", "--seed", "1"], capsys)
     assert code == 0
     assert "checks passed" in out
     assert "[FAIL]" not in out
@@ -135,19 +135,3 @@ def test_bad_flag_value_exits_2(tmp_path, capsys):
     assert code == 2
     assert "error:" in err
 
-
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    path = gen_scene_file(tmp_path, capsys)
-    monkeypatch.setenv("MASKOPS_THREADS", "3")
-    code, out, _ = run_cli(["suppress", str(path)], capsys)
-    assert code == 0
-    baseline = json.loads(out)
-    monkeypatch.setenv("MASKOPS_THREADS", "zero")
-    code, _, err = run_cli(["suppress", str(path)], capsys)
-    assert code == 2
-    assert "MASKOPS_THREADS" in err
-    # The env var is only consulted when --threads is absent, so an explicit
-    # flag must still work under a bad env value.
-    code, out, _ = run_cli(["suppress", str(path), "--threads", "2"], capsys)
-    assert code == 0
-    assert json.loads(out) == baseline

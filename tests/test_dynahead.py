@@ -289,19 +289,6 @@ def test_assemble_masks_two_overlapping_blobs():
     assert mask_iou(out[0].mask, out[1].mask) == expect
 
 
-def test_assemble_masks_thread_determinism():
-    rng = np.random.default_rng(15)
-    s, e = 4, 6
-    cat = CategoryGrid(rng.uniform(0, 1, size=(s, s, 3)))
-    ker = KernelGrid(rng.normal(size=(s, s, e)), e)
-    feat = FeatureMap(rng.normal(size=(9, 9, e)))
-    a = assemble_masks(cat, ker, feat, threads=1)
-    b = assemble_masks(cat, ker, feat, threads=8)
-    assert len(a) == len(b) > 0
-    for x, y in zip(a, b):
-        assert x.mask == y.mask and x.score == y.score and x.category == y.category
-
-
 def test_assemble_masks_ordering_by_cell_then_category():
     cat = CategoryGrid(np.full((2, 2, 2), 0.5))
     ker = KernelGrid(np.full((2, 2, 2), 5.0), 2)

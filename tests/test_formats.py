@@ -66,6 +66,20 @@ def test_mask_set_rejects_mixed_dims():
         {"height": 4, "width": 4},
         {"height": 4, "width": 4, "instances": [{"score": 0.5}]},
         {"height": 4, "width": 4, "instances": [{"counts": None, "score": 0.5}]},
+        # Well-formed except for one field whose JSON type is wrong; each of
+        # these used to be coerced into a valid-looking mask.
+        {"height": 1, "width": 10, "instances": [{"counts": "55", "score": 0.5}]},
+        {"height": 1, "width": 10, "instances": [{"counts": [5.0, 5], "score": 0.5}]},
+        {"height": 1, "width": 10, "instances": [{"counts": [5, 5.9], "score": 0.5}]},
+        {"height": 1, "width": 10, "instances": [{"counts": [9, True], "score": 0.5}]},
+        {"height": 1, "width": 10, "instances": [{"counts": [5, 5], "score": True}]},
+        {"height": 1, "width": 10, "instances": [{"counts": [5, 5], "score": "0.5"}]},
+        {"height": 1, "width": 10,
+         "instances": [{"counts": [5, 5], "score": 0.5, "category": 1.9}]},
+        {"height": 1, "width": 10,
+         "instances": [{"counts": [5, 5], "score": 0.5, "category": True}]},
+        {"height": 1.5, "width": 10, "instances": []},
+        {"height": 1, "width": 10.0, "instances": []},
     ],
 )
 def test_malformed_mask_set(doc):

@@ -120,7 +120,7 @@ def test_iou_dimension_mismatch():
         )
 
 
-def test_pairwise_matches_direct_and_threads():
+def test_pairwise_matches_direct():
     rng = np.random.default_rng(3)
     masks = [
         BinaryMask.from_array(rng.random((15, 9)) < rng.uniform(0, 1))
@@ -128,7 +128,6 @@ def test_pairwise_matches_direct_and_threads():
     ]
     got = pairwise_iou_matrix(masks)
     assert got.n == 30
-    assert np.array_equal(got.values, pairwise_iou_matrix(masks, threads=4).values)
     for i in range(30):
         assert np.all(got.values[i, : i + 1] == 0.0)
         for j in range(i + 1, 30):

@@ -8,8 +8,6 @@ from maskops import (
     ScoredMask,
     SuppressionConfig,
     SuppressionResult,
-    decay_gauss,
-    decay_linear,
     fast_nms,
     hard_nms,
     matrix_nms,
@@ -49,36 +47,6 @@ THREE = upper(3, {(0, 1): 0.8, (0, 2): 0.1, (1, 2): 0.7})
 )
 def test_sort_by_score(scores, perm):
     assert sort_by_score(scored(*scores)) == perm
-
-
-@pytest.mark.parametrize(
-    "iou,cmax,expected",
-    [(0.5, 0.0, 0.5), (0.0, 0.0, 1.0), (0.7, 0.8, 1.5)],
-)
-def test_decay_linear(iou, cmax, expected):
-    assert decay_linear(iou, cmax) == pytest.approx(expected)
-
-
-def test_decay_linear_singularity():
-    with pytest.raises(ValueError):
-        decay_linear(0.5, 1.0)
-
-
-@pytest.mark.parametrize(
-    "iou,cmax,expected",
-    [
-        (0.5, 0.0, 0.6065306597126334),
-        (0.3, 0.3, 1.0),
-        (0.0, 0.5, 1.6487212707001282),
-    ],
-)
-def test_decay_gauss(iou, cmax, expected):
-    assert decay_gauss(iou, cmax, 0.5) == pytest.approx(expected, abs=1e-12)
-
-
-def test_decay_gauss_bad_sigma():
-    with pytest.raises(ValueError):
-        decay_gauss(0.5, 0.0, 0.0)
 
 
 def test_decayfn_validation():
