@@ -5,10 +5,14 @@ and shared (its build time is reported separately), each method gets one
 warm-up run, and the reported suppression time is the median of `repeats`
 timed runs. Correctness cross-checks against the loop oracles run before any
 timing so a fast-but-wrong implementation can never produce a report.
+
+The same per-rule oracle comparisons back the `CHECKS` registry, which
+`maskbench verify` and the acceptance tests run on generated cases.
 """
 
 from __future__ import annotations
 
+import itertools
 import statistics
 import time
 import zlib
@@ -19,10 +23,11 @@ import numpy as np
 
 from . import formats, reference
 from .dynahead import CategoryGrid, FusionWeights, KernelGrid, PyramidLevels
-from .dynahead import FeatureMap, inference_pipeline
+from .dynahead import FeatureMap, dynamic_conv_1x1, dynamic_conv_3x3, inference_pipeline
 from .losses import dice_loss, focal_loss
 from .masks import (
     BinaryMask,
+    IoUMatrix,
     mask_iou,
     pairwise_iou_matrix,
     rle_decode,
@@ -37,6 +42,7 @@ from .suppression import (
     fast_nms,
     hard_nms,
     matrix_nms,
+    run_method,
     soft_nms,
     sort_by_score,
 )
@@ -72,28 +78,62 @@ def _median_ms(samples: Sequence[float]) -> float:
     return statistics.median(samples) * 1000.0
 
 
-def _cross_check(masks, ious, config):
-    """Oracle cross-checks on the exact inputs about to be timed."""
-    rows = ious.values.tolist()
-    scores = [m.score for m in masks]
-    got = matrix_nms(masks, ious, config.decay)
+# One comparison per oracle rule. `_cross_check` applies them to the inputs
+# `run_bench` is about to time, and the CHECKS registry below to generated
+# cases; nothing else in the package calls the `reference` oracles.
+_DECAY_TOL = 1e-6
+
+
+def _decay_error(masks, ious, decay) -> float:
+    """Largest |matrix_nms - naive_matrix_decay| over the masks; a mask that
+    matrix_nms drops counts as score 0."""
+    got = matrix_nms(masks, ious, decay)
     updated = dict(zip(got.kept_indices, got.updated_scores))
     want = reference.naive_matrix_decay(
-        scores, rows, config.decay.kind, config.decay.sigma
+        [m.score for m in masks], ious.values.tolist(), decay.kind, decay.sigma
     )
-    for j, w in enumerate(want):
-        if abs(updated.get(j, 0.0) - w) > 1e-6:
-            raise VerificationError(f"matrix decay mismatch at index {j}")
-    hard = hard_nms(masks, ious, config.iou_threshold)
-    if list(hard.kept_indices) != reference.greedy_keep(masks, config.iou_threshold):
+    return max((abs(updated.get(j, 0.0) - w) for j, w in enumerate(want)), default=0.0)
+
+
+def _hard_agrees(masks, ious, iou_threshold) -> bool:
+    """hard_nms keeps exactly the greedy walk's set."""
+    got = hard_nms(masks, ious, iou_threshold).kept_indices
+    return list(got) == reference.greedy_keep(masks, iou_threshold)
+
+
+def _fast_agrees(masks, ious, iou_threshold) -> bool:
+    """fast_nms keeps exactly the column-max oracle's set, a subset of hard_nms's."""
+    fast = list(fast_nms(masks, ious, iou_threshold).kept_indices)
+    hard = hard_nms(masks, ious, iou_threshold).kept_indices
+    want = reference.column_max_keep(ious.values.tolist(), iou_threshold)
+    return fast == want and set(fast) <= set(hard)
+
+
+def _conv_pairs(feature: FeatureMap, k1, k9):
+    """(dynamic conv, loop oracle) outputs for the 1x1 and the 3x3 kernel."""
+    return (
+        (dynamic_conv_1x1(feature, k1), reference.conv1x1_loops(feature.data, k1)),
+        (dynamic_conv_3x3(feature, k9), reference.conv3x3_loops(feature.data, k9)),
+    )
+
+
+def _grad_error(loss, x) -> float:
+    """Largest gap between the analytic gradient of `loss(x) -> (value, grad)`
+    and central finite differences of its value, relative to the largest
+    difference."""
+    grad = loss(x)[1]
+    fd = reference.finite_difference_grad(lambda y: loss(y)[0], x)
+    return float(np.abs(grad - fd).max()) / max(float(np.abs(fd).max()), 1e-12)
+
+
+def _cross_check(masks, ious, config):
+    """Oracle cross-checks on the exact inputs about to be timed."""
+    if _decay_error(masks, ious, config.decay) > _DECAY_TOL:
+        raise VerificationError("matrix_nms disagrees with the direct decay loop")
+    if not _hard_agrees(masks, ious, config.iou_threshold):
         raise VerificationError("hard_nms disagrees with the greedy oracle")
-    fast = fast_nms(masks, ious, config.iou_threshold)
-    if list(fast.kept_indices) != reference.column_max_keep(
-        rows, config.iou_threshold
-    ):
-        raise VerificationError("fast_nms disagrees with the column-max oracle")
-    if not set(fast.kept_indices) <= set(hard.kept_indices):
-        raise VerificationError("fast_nms kept a mask hard_nms removed")
+    if not _fast_agrees(masks, ious, config.iou_threshold):
+        raise VerificationError("fast_nms disagrees with its oracles")
     with_m = soft_nms(masks, config.decay, config.score_threshold, ious=ious)
     without = soft_nms(masks, config.decay, config.score_threshold)
     if with_m != without:
@@ -105,12 +145,11 @@ def run_bench(
     methods: Sequence[str] = METHODS,
     repeats: int = 20,
     config: Optional[SuppressionConfig] = None,
-    verify: bool = True,
 ) -> list:
     """Benchmark the suppression methods on one scene (pooled class-agnostic).
 
-    The full cross-check pass is skipped only when verify=False (it can
-    dominate wall time for large N); timing always starts after it.
+    The oracle cross-checks run on the sorted scene and its IoU matrix before
+    any method is timed.
     """
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
@@ -132,28 +171,16 @@ def run_bench(
         build_times.append(time.perf_counter() - t0)
     iou_ms = _median_ms(build_times)
 
-    if verify:
-        _cross_check(masks, ious, cfg)
+    _cross_check(masks, ious, cfg)
 
-    runners = {
-        "matrix": lambda: matrix_nms(
-            masks, ious, cfg.decay, score_threshold=cfg.score_threshold
-        ),
-        "hard": lambda: hard_nms(masks, ious, cfg.iou_threshold),
-        "fast": lambda: fast_nms(masks, ious, cfg.iou_threshold),
-        "soft": lambda: soft_nms(
-            masks, cfg.decay, cfg.score_threshold, ious=ious
-        ),
-    }
     reports = []
     for method in methods:
-        run = runners[method]
-        result = run()  # warm-up
+        result = run_method(method, masks, ious, cfg)  # warm-up
         checksum = score_checksum(result.updated_scores)
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            out = run()
+            out = run_method(method, masks, ious, cfg)
             times.append(time.perf_counter() - t0)
             if score_checksum(out.updated_scores) != checksum:
                 raise VerificationError(f"{method} results vary across repeats")
@@ -172,167 +199,220 @@ class VerifyCheck:
     detail: str
 
 
-def _random_mask(rng, max_dim: int = 24) -> BinaryMask:
-    h = int(rng.integers(1, max_dim + 1))
-    w = int(rng.integers(1, max_dim + 1))
-    density = rng.uniform(0.0, 1.0)
-    return BinaryMask.from_array(rng.random((h, w)) < density)
+CHECKS = {}
+"""The oracle check registry, in `maskbench verify` order: name -> a function
+`(rng, cases) -> VerifyCheck` that builds `cases` cases from `rng`; `cases`
+defaults to the count `maskbench verify` runs."""
 
 
-def _random_scored(rng, n: int, dim: int = 16) -> list:
-    scores = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
-    out = []
-    for s in scores:
-        arr = rng.random((dim, dim)) < rng.uniform(0.2, 0.8)
-        arr[rng.integers(dim), rng.integers(dim)] = True  # never empty
-        out.append(ScoredMask(BinaryMask.from_array(arr), float(s), 0))
-    return out
+def _check(name: str, verify_cases: int):
+    """Register a `(rng, cases) -> (passed, detail)` function under `name`."""
+
+    def register(fn):
+        def check(rng, cases: int = verify_cases) -> VerifyCheck:
+            return VerifyCheck(name, *fn(rng, cases))
+
+        CHECKS[name] = check
+        return fn
+
+    return register
 
 
-def _check_rle(rng) -> VerifyCheck:
-    for _ in range(300):
-        m = _random_mask(rng)
-        rle = rle_encode(m)
-        back = rle_decode(rle)
-        if back != m or rle_encode(back) != rle:
-            return VerifyCheck("rle-round-trip", False, f"failed on {m!r}")
-    return VerifyCheck("rle-round-trip", True, "300 random masks")
+_DOT = BinaryMask.from_array(np.ones((1, 1), dtype=bool))
 
 
-def _check_iou(rng) -> VerifyCheck:
-    masks = [m.mask for m in _random_scored(rng, 40)]
-    got = pairwise_iou_matrix(masks)
-    for i in range(len(masks)):
-        if masks[i].area and mask_iou(masks[i], masks[i]) != 1.0:
-            return VerifyCheck("pairwise-iou", False, "self IoU != 1")
-        for j in range(i + 1, len(masks)):
-            direct = mask_iou(masks[i], masks[j])
-            if direct != mask_iou(masks[j], masks[i]) or direct != got.values[i, j]:
-                return VerifyCheck("pairwise-iou", False, f"mismatch at {(i, j)}")
-            if not 0.0 <= direct <= 1.0:
-                return VerifyCheck("pairwise-iou", False, "IoU out of bounds")
-    return VerifyCheck("pairwise-iou", True, "40 masks, all pairs")
+def _random_spec(rng, max_instances: int, size: int = 64) -> SceneSpec:
+    return SceneSpec(
+        height=size,
+        width=size,
+        num_instances=int(rng.integers(1, max_instances + 1)),
+        num_duplicates_per_instance=int(rng.integers(0, 4)),
+        shape="rectangle" if rng.random() < 0.5 else "ellipse",
+        seed=int(rng.integers(0, 2**31)),
+    )
 
 
-def _scene_batch(seed: int, count: int) -> list:
-    scenes = []
-    for t in range(count):
-        spec = SceneSpec(
-            height=48,
-            width=48,
-            num_instances=2 + t % 5,
-            num_duplicates_per_instance=1 + t % 4,
-            shape="ellipse" if t % 2 else "rectangle",
-            seed=seed + t,
-        )
-        scene = gen_scene(spec)
-        order = sort_by_score(scene)
-        scenes.append([scene[i] for i in order])
-    return scenes
+def _sorted_scene(spec: SceneSpec) -> list:
+    scene = gen_scene(spec)
+    return [scene[i] for i in sort_by_score(scene)]
 
 
-def _check_matrix_decay(rng) -> VerifyCheck:
-    for t, masks in enumerate(_scene_batch(101, 60)):
-        ious = pairwise_iou_matrix([m.mask for m in masks])
-        decay = DecayFn("linear" if t % 2 else "gauss")
-        got = matrix_nms(masks, ious, decay)
-        updated = dict(zip(got.kept_indices, got.updated_scores))
-        want = reference.naive_matrix_decay(
-            [m.score for m in masks], ious.values.tolist(), decay.kind, decay.sigma
-        )
-        for j, w in enumerate(want):
-            if abs(updated.get(j, 0.0) - w) > 1e-6:
-                return VerifyCheck(
-                    "matrix-vs-naive", False, f"scene {t} index {j}: {w}"
-                )
-    return VerifyCheck("matrix-vs-naive", True, "60 scenes, both decays, 1e-6")
+def _failures(bad: list, cases: int, what: str) -> tuple:
+    """(passed, detail) for a check that counts failing cases."""
+    detail = f"{cases - len(bad)}/{cases} {what}"
+    if bad:
+        detail += f"; first failure: case {bad[0]}"
+    return not bad, detail
 
 
-def _check_soft_agreement(rng) -> VerifyCheck:
-    for t in range(300):
-        masks = _random_scored(rng, int(rng.integers(1, 3)), dim=8)
-        decay = DecayFn("linear" if t % 2 else "gauss")
-        ious = pairwise_iou_matrix([m.mask for m in masks])
-        a = matrix_nms(masks, ious, decay)
-        b = soft_nms(masks, decay, score_threshold=0.0)
-        if a != b:
-            return VerifyCheck("soft-matrix-n2", False, f"case {t}: {a} vs {b}")
-    return VerifyCheck("soft-matrix-n2", True, "300 cases of N <= 2, exact")
+@_check("rle-round-trip", 300)
+def _rle_round_trip(rng, cases):
+    bad = []
+    for case in range(cases):
+        h, w = (int(v) for v in rng.integers(1, 33, 2))
+        if case % 100 == 0:
+            arr = np.full((h, w), case % 200 == 0)  # all-full / all-empty
+        else:
+            arr = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+        mask = BinaryMask.from_array(arr)
+        first = rle_encode(mask)
+        back = rle_decode(first)
+        if back != mask or rle_encode(back) != first:
+            bad.append(case)
+    return _failures(bad, cases, "masks: decode restores them, re-encode is identical")
 
 
-def _check_hard_greedy(rng) -> VerifyCheck:
-    for t, masks in enumerate(_scene_batch(707, 60)):
-        ious = pairwise_iou_matrix([m.mask for m in masks])
-        thr = (0.3, 0.5, 0.7)[t % 3]
-        got = hard_nms(masks, ious, thr)
-        if list(got.kept_indices) != reference.greedy_keep(masks, thr):
-            return VerifyCheck("hard-vs-greedy", False, f"scene {t}")
-    return VerifyCheck("hard-vs-greedy", True, "60 scenes, exact kept sets")
+@_check("pairwise-iou", 40)
+def _pairwise_iou(rng, cases):
+    masks = []
+    for _ in range(cases):
+        arr = rng.random((16, 16)) < rng.uniform(0.2, 0.8)
+        arr[rng.integers(16), rng.integers(16)] = True  # never empty
+        masks.append(BinaryMask.from_array(arr))
+    got = pairwise_iou_matrix(masks).values
+    for i, j in itertools.combinations_with_replacement(range(cases), 2):
+        direct = mask_iou(masks[i], masks[j])
+        want = 1.0 if i == j else got[i, j]  # the matrix is strictly upper
+        symmetric = direct == mask_iou(masks[j], masks[i])
+        if not (symmetric and direct == want and 0.0 <= direct <= 1.0):
+            return False, f"mismatch or out of bounds at {(i, j)}"
+    return True, f"{cases} masks, all pairs and self-IoU"
 
 
-def _check_fast_subset(rng) -> VerifyCheck:
-    for t, masks in enumerate(_scene_batch(909, 60)):
-        ious = pairwise_iou_matrix([m.mask for m in masks])
-        thr = (0.3, 0.5, 0.7)[t % 3]
-        fast = set(fast_nms(masks, ious, thr).kept_indices)
-        hard = set(hard_nms(masks, ious, thr).kept_indices)
-        if not fast <= hard:
-            return VerifyCheck("fast-subset-hard", False, f"scene {t}")
-    return VerifyCheck("fast-subset-hard", True, "60 scenes")
+@_check("matrix-vs-naive", 60)
+def _matrix_vs_naive(rng, cases):
+    """Every tenth case is a real scene; the rest are synthetic IoU matrices,
+    some with an exact overlap that hits the linear decay's 1/(1-cmax) pole."""
+    worst = 0.0
+    for case in range(cases):
+        if case % 10 == 0:
+            masks = _sorted_scene(_random_spec(rng, max_instances=40, size=96))
+            ious = pairwise_iou_matrix([m.mask for m in masks])
+        else:
+            n = int(rng.integers(1, 201))
+            v = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+            if n > 1 and rng.random() < 0.3:
+                i = int(rng.integers(0, n - 1))
+                v[i, int(rng.integers(i + 1, n))] = 1.0
+            ious = IoUMatrix(v)
+            scores = np.sort(rng.uniform(0.01, 1.0, n))[::-1]
+            masks = [ScoredMask(_DOT, float(s)) for s in scores]
+        for decay in (DecayFn("gauss", 0.5), DecayFn("linear")):
+            worst = max(worst, _decay_error(masks, ious, decay))
+    return worst <= _DECAY_TOL, (
+        f"max |matrix - direct| = {worst:.2e} over {cases} cases x 2 decays "
+        f"(tol {_DECAY_TOL:.0e})"
+    )
 
 
-def _check_conv(rng) -> VerifyCheck:
-    from .dynahead import dynamic_conv_1x1, dynamic_conv_3x3
-
-    for t in range(30):
-        h, w, c = (int(rng.integers(1, 9)) for _ in range(3))
-        feat = rng.normal(size=(h, w, c))
-        k1 = rng.normal(size=c)
-        k3 = rng.normal(size=9 * c)
-        fm = FeatureMap(feat)
-        if not np.allclose(
-            dynamic_conv_1x1(fm, k1),
-            reference.conv1x1_loops(feat, k1),
-            rtol=1e-6,
-            atol=1e-12,
-        ):
-            return VerifyCheck("conv-vs-loops", False, f"1x1 case {t}")
-        if not np.allclose(
-            dynamic_conv_3x3(fm, k3),
-            reference.conv3x3_loops(feat, k3),
-            rtol=1e-6,
-            atol=1e-12,
-        ):
-            return VerifyCheck("conv-vs-loops", False, f"3x3 case {t}")
-        ints = rng.integers(-5, 6, size=(h, w, c)).astype(np.float64)
-        ik = rng.integers(-5, 6, size=9 * c).astype(np.float64)
-        if not np.array_equal(
-            dynamic_conv_3x3(FeatureMap(ints), ik),
-            reference.conv3x3_loops(ints, ik),
-        ):
-            return VerifyCheck("conv-vs-loops", False, f"integer case {t}")
-    return VerifyCheck("conv-vs-loops", True, "30 shapes + integer bit-exactness")
+@_check("soft-matrix-n2", 300)
+def _soft_matrix_n2(rng, cases):
+    """On 1- and 2-mask inputs the one-shot and sequential decays coincide."""
+    bad = []
+    for case in range(cases):
+        n = 1 + (case % 2)
+        arr = rng.random((n, 12, 16)) < rng.uniform(0.2, 0.8)
+        if n == 2 and rng.random() < 0.4:
+            arr[1] = arr[0]  # identical pair: IoU exactly 1
+        pool = [BinaryMask.from_array(a) for a in arr]
+        scores = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
+        masks = [ScoredMask(m, float(s)) for m, s in zip(pool, scores)]
+        decay = DecayFn("gauss" if case % 4 < 2 else "linear")
+        ious = pairwise_iou_matrix(pool)
+        if matrix_nms(masks, ious, decay) != soft_nms(masks, decay, 0.0):
+            bad.append(case)
+    return _failures(bad, cases, "1-2 mask inputs: matrix_nms equals soft_nms exactly")
 
 
-def _check_loss_grads(rng) -> VerifyCheck:
-    for t in range(30):
-        p = rng.uniform(0.05, 0.95, size=(6, 6))
-        q = (rng.random((6, 6)) < 0.5).astype(np.float64)
-        _, grad = dice_loss(p, q)
-        fd = reference.finite_difference_grad(lambda x: dice_loss(x, q)[0], p.copy())
-        denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
-        if np.max(np.abs(grad - fd) / denom) > 1e-4:
-            return VerifyCheck("loss-gradients", False, f"dice case {t}")
-        prob = float(rng.uniform(0.05, 0.95))
+def _threshold_scenes(rng, cases: int):
+    """(masks, ious, iou_threshold) for `cases` small duplicate-heavy scenes."""
+    for _ in range(cases):
+        masks = _sorted_scene(_random_spec(rng, max_instances=6))
+        threshold = float(rng.choice([0.3, 0.5, 0.7]))
+        yield masks, pairwise_iou_matrix([m.mask for m in masks]), threshold
+
+
+@_check("hard-vs-greedy", 60)
+def _hard_vs_greedy(rng, cases):
+    scenes = enumerate(_threshold_scenes(rng, cases))
+    bad = [case for case, args in scenes if not _hard_agrees(*args)]
+    return _failures(bad, cases, "scenes: hard_nms keeps the greedy walk's set")
+
+
+@_check("fast-subset-hard", 60)
+def _fast_subset_hard(rng, cases):
+    scenes = enumerate(_threshold_scenes(rng, cases))
+    bad = [case for case, args in scenes if not _fast_agrees(*args)]
+    return _failures(
+        bad, cases, "scenes: fast_nms keeps the column-max set, a subset of hard_nms"
+    )
+
+
+@_check("conv-vs-loops", 30)
+def _conv_vs_loops(rng, cases):
+    """`cases` float shapes within a relative 1e-6, then cases // 4 integer
+    shapes that must match bit for bit."""
+    worst = 0.0
+    for _ in range(cases):
+        h, w = (int(v) for v in rng.integers(1, 13, 2))
+        e = int(rng.integers(1, 9))
+        feature = FeatureMap(rng.standard_normal((h, w, e)))
+        k1 = rng.standard_normal(e)
+        k9 = rng.standard_normal(9 * e)
+        for got, want in _conv_pairs(feature, k1, k9):
+            scale = max(float(np.abs(want).max()), 1e-30)
+            worst = max(worst, float(np.abs(got - want).max()) / scale)
+    exact = True
+    for _ in range(cases // 4):
+        h, w = (int(v) for v in rng.integers(1, 9, 2))
+        e = int(rng.integers(1, 6))
+        feature = FeatureMap(rng.integers(-4, 5, (h, w, e)).astype(np.float64))
+        k1 = rng.integers(-4, 5, e).astype(np.float64)
+        k9 = rng.integers(-4, 5, 9 * e).astype(np.float64)
+        for got, want in _conv_pairs(feature, k1, k9):
+            exact &= np.array_equal(got, want)
+    return worst <= 1e-6 and exact, (
+        f"max relative error {worst:.2e} over {cases} shapes x 2 ops (tol 1e-06); "
+        f"{cases // 4} integer shapes bit-exact: {exact}"
+    )
+
+
+@_check("loss-gradients", 30)
+def _loss_gradients(rng, cases):
+    """`cases` dice and `cases` focal gradients (gamma 0-3) against central
+    finite differences, plus one known focal value."""
+    worst_dice = 0.0
+    for _ in range(cases):
+        h, w = (int(v) for v in rng.integers(2, 9, 2))
+        pred = rng.uniform(0.05, 0.95, (h, w))
+        target = BinaryMask.from_array(rng.random((h, w)) < 0.5)
+        worst_dice = max(worst_dice, _grad_error(lambda p: dice_loss(p, target), pred))
+    worst_focal = 0.0
+    for _ in range(cases):
+        p = float(rng.uniform(0.05, 0.95))
         target = int(rng.integers(0, 2))
-        _, g = focal_loss(prob, target)
-        arr = np.array([prob])
-        fd1 = reference.finite_difference_grad(
-            lambda x: focal_loss(float(x[0]), target)[0], arr
-        )[0]
-        if abs(g - fd1) / max(abs(g), abs(fd1), 1e-8) > 1e-4:
-            return VerifyCheck("loss-gradients", False, f"focal case {t}")
-    return VerifyCheck("loss-gradients", True, "30 dice + 30 focal vs central FD")
+        gamma = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
+        focal = _grad_error(
+            lambda x: focal_loss(float(x[0]), target, gamma=gamma), np.array([p])
+        )
+        worst_focal = max(worst_focal, focal)
+    example = round(focal_loss(0.3, 1)[0], 5)
+    passed = worst_dice <= 1e-4 and worst_focal <= 1e-4 and example == 0.14749
+    return passed, (
+        f"dice rel err {worst_dice:.2e}, focal rel err {worst_focal:.2e} "
+        f"(tol 1e-04, {cases} cases each); focal(0.3, 1) = {example} (want 0.14749)"
+    )
+
+
+@_check("scene-generation", 1)
+def _scene_generation(rng, cases):
+    bad = []
+    for case in range(cases):
+        spec = SceneSpec(num_instances=5, seed=int(rng.integers(0, 2**31)))
+        scene = gen_scene(spec)
+        if len(scene) != spec.total_masks or gen_scene(spec) != scene:
+            bad.append(case)
+    return _failures(bad, cases, "scenes of 25 masks: rerun identical")
 
 
 def seeded_pipeline_inputs(seed: int = 0):
@@ -351,49 +431,24 @@ def seeded_pipeline_inputs(seed: int = 0):
     return CategoryGrid(cat), KernelGrid(kernels, out_channels), pyramid
 
 
-def _pipeline_json(seed: int = 11) -> str:
-    cat, kernels, pyramid = seeded_pipeline_inputs(seed)
-    instances = inference_pipeline(cat, kernels, pyramid)
-    return formats.to_json(formats.instances_to_dict(instances))
-
-
-def _check_pipeline(rng) -> VerifyCheck:
-    base = _pipeline_json()
-    for _ in range(2):
-        if _pipeline_json() != base:
-            return VerifyCheck("pipeline-determinism", False, "rerun differs")
-    if not base.strip():
-        return VerifyCheck("pipeline-determinism", False, "empty output")
-    return VerifyCheck("pipeline-determinism", True, "3 runs, byte-equal")
-
-
-def _check_scene_determinism(rng) -> VerifyCheck:
-    spec = SceneSpec(seed=42, num_instances=5, num_duplicates_per_instance=4)
-    a, b = gen_scene(spec), gen_scene(spec)
-    if len(a) != spec.total_masks:
-        return VerifyCheck("scene-generation", False, f"expected {spec.total_masks}")
-    same = all(
-        x.mask == y.mask and x.score == y.score and x.category == y.category
-        for x, y in zip(a, b)
+@_check("pipeline-determinism", 3)
+def _pipeline_determinism(rng, cases):
+    """`cases` runs of the pipeline on seeded inputs render the same JSON."""
+    category, kernels, pyramid = seeded_pipeline_inputs(int(rng.integers(0, 2**31)))
+    runs = [
+        formats.to_json(
+            formats.instances_to_dict(inference_pipeline(category, kernels, pyramid))
+        )
+        for _ in range(cases)
+    ]
+    identical = all(r == runs[0] for r in runs)
+    count = runs[0].count('"score"')
+    return identical and count > 0, (
+        f"{cases} runs all byte-identical ({count} instances)"
     )
-    if not same:
-        return VerifyCheck("scene-generation", False, "same seed, different scene")
-    return VerifyCheck("scene-generation", True, "25 masks, rerun identical")
 
 
 def run_verification(seed: int = 0) -> list:
-    """The full oracle suite at CLI scale; returns one VerifyCheck per area."""
+    """Every registered check at its `maskbench verify` case count."""
     rng = np.random.default_rng(seed)
-    checks = [
-        _check_rle(rng),
-        _check_iou(rng),
-        _check_matrix_decay(rng),
-        _check_soft_agreement(rng),
-        _check_hard_greedy(rng),
-        _check_fast_subset(rng),
-        _check_conv(rng),
-        _check_loss_grads(rng),
-        _check_scene_determinism(rng),
-        _check_pipeline(rng),
-    ]
-    return checks
+    return [check(rng) for check in CHECKS.values()]

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad input or usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -66,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bench a single method (default: all)")
     _add_method_params(ben)
     ben.add_argument("--repeats", type=int, default=20)
-    ben.add_argument("--no-verify", action="store_true",
-                     help="skip the oracle cross-checks before timing")
     _add_common(ben)
 
     ver = sub.add_parser("verify", help="run the full oracle suite")
@@ -144,26 +143,10 @@ def _cmd_bench(args) -> int:
     methods = [args.method] if args.method else list(METHODS)
     config = _config_from_args(args, method=methods[0])
     reports = bench.run_bench(
-        scene,
-        methods=methods,
-        repeats=args.repeats,
-        config=config,
-        verify=not args.no_verify,
+        scene, methods=methods, repeats=args.repeats, config=config
     )
     if args.format == "json":
-        doc = {
-            "reports": [
-                {
-                    "method": r.method,
-                    "n": r.n,
-                    "iou_matrix_ms": r.iou_matrix_ms,
-                    "suppression_ms": r.suppression_ms,
-                    "kept": r.kept,
-                    "checksum": r.checksum,
-                }
-                for r in reports
-            ]
-        }
+        doc = {"reports": [dataclasses.asdict(r) for r in reports]}
         _emit(formats.to_json(doc), args.out)
     else:
         lines = [

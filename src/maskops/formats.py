@@ -1,18 +1,18 @@
-"""File formats: mask-set JSON, raw tensor files with a JSON header line,
-and the result records emitted by the CLI."""
+"""File formats: mask-set JSON and the result records emitted by the CLI."""
 
 from __future__ import annotations
 
 import json
 from typing import Sequence
 
-import numpy as np
-
-from .dynahead import CategoryGrid, FeatureMap, Instance, KernelGrid
-from .masks import BinaryMask, RleMask, mask_to_box, rle_decode, rle_encode
+from .dynahead import Instance
+from .masks import RleMask, mask_to_box, rle_decode, rle_encode
 from .suppression import ScoredMask, SuppressionResult
 
-TENSOR_KINDS = ("feature", "kernel", "category")
+# Most pixels, height * width * instances, one mask set may decode to. Run
+# lengths are non-negative and sum to height * width, so this also bounds
+# every count. 2**27 admits up to 436 masks of 640x480.
+MAX_MASK_SET_PIXELS = 1 << 27
 
 
 def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> dict:
@@ -51,11 +51,18 @@ def _json_int(value, name: str) -> int:
 
 def mask_set_from_dict(doc: dict) -> list:
     """Parse a mask-set document. Dimensions, counts and categories must be
-    JSON integers and scores JSON numbers; nothing is coerced."""
+    JSON integers and scores JSON numbers; nothing is coerced. A set that
+    would decode to more than MAX_MASK_SET_PIXELS pixels is rejected."""
     try:
         h, w = _json_int(doc["height"], "height"), _json_int(doc["width"], "width")
+        instances = doc["instances"]
+        if h * w * len(instances) > MAX_MASK_SET_PIXELS:
+            raise ValueError(
+                f"malformed mask set: {len(instances)} masks of {h}x{w} exceed "
+                f"{MAX_MASK_SET_PIXELS} pixels"
+            )
         masks = []
-        for e in doc["instances"]:
+        for e in instances:
             counts, score = e["counts"], e["score"]
             if type(counts) is not list or not set(map(type, counts)) <= {int}:
                 raise ValueError(
@@ -72,7 +79,7 @@ def mask_set_from_dict(doc: dict) -> list:
                     _json_int(e.get("category", 0), "category"),
                 )
             )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed mask set: {exc}") from exc
     return masks
 
@@ -85,59 +92,6 @@ def write_mask_set(path, masks: Sequence[ScoredMask], height=None, width=None):
 def read_mask_set(path) -> list:
     with open(path) as f:
         return mask_set_from_dict(json.load(f))
-
-
-def write_tensor(path, array: np.ndarray, kind: str):
-    """JSON header line `{"shape": [...], "kind": ...}` followed by the raw
-    little-endian float32 payload."""
-    if kind not in TENSOR_KINDS:
-        raise ValueError(f"kind must be one of {TENSOR_KINDS}")
-    arr = np.asarray(array, dtype="<f4")
-    header = json.dumps({"shape": list(arr.shape), "kind": kind})
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii") + b"\n")
-        f.write(arr.tobytes())
-
-
-def read_tensor(path):
-    """Returns (array, kind); raises ValueError on any malformed content."""
-    with open(path, "rb") as f:
-        header = f.readline()
-        payload = f.read()
-    try:
-        meta = json.loads(header)
-        shape = tuple(int(s) for s in meta["shape"])
-        kind = meta["kind"]
-    except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"malformed tensor header: {exc}") from exc
-    if kind not in TENSOR_KINDS:
-        raise ValueError(f"unknown tensor kind {kind!r}")
-    expected = int(np.prod(shape)) * 4 if shape else 4
-    if len(payload) != expected:
-        raise ValueError("tensor payload size does not match header shape")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
-    return arr, kind
-
-
-def load_feature(path) -> FeatureMap:
-    arr, kind = read_tensor(path)
-    if kind != "feature":
-        raise ValueError(f"expected a feature tensor, got {kind!r}")
-    return FeatureMap(arr)
-
-
-def load_kernels(path, feature_channels: int) -> KernelGrid:
-    arr, kind = read_tensor(path)
-    if kind != "kernel":
-        raise ValueError(f"expected a kernel tensor, got {kind!r}")
-    return KernelGrid(arr, feature_channels)
-
-
-def load_categories(path) -> CategoryGrid:
-    arr, kind = read_tensor(path)
-    if kind != "category":
-        raise ValueError(f"expected a category tensor, got {kind!r}")
-    return CategoryGrid(arr)
 
 
 def kept_to_dict(masks: Sequence[ScoredMask], result: SuppressionResult) -> dict:

@@ -44,9 +44,7 @@ class DecayFn:
     sigma: float = 0.5
 
     def __post_init__(self):
-        kind = "gauss" if self.kind == "gaussian" else self.kind
-        object.__setattr__(self, "kind", kind)
-        if kind not in DECAY_KINDS:
+        if self.kind not in DECAY_KINDS:
             raise ValueError(f"kind must be one of {DECAY_KINDS}")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
@@ -138,7 +136,6 @@ def matrix_nms(
     ious: IoUMatrix,
     decay: DecayFn,
     score_threshold: float = 0.0,
-    top_k: Optional[int] = None,
 ) -> SuppressionResult:
     """One-shot decay of all scores from the pairwise IoU matrix.
 
@@ -180,9 +177,6 @@ def matrix_nms(
     updated = scores * dvec
     keep = _keep_mask(updated, score_threshold)
     idx = np.flatnonzero(keep)
-    if top_k is not None and idx.size > top_k:
-        order = np.lexsort((idx, -updated[idx]))[:top_k]
-        idx = np.sort(idx[order])
     return SuppressionResult(tuple(idx.tolist()), tuple(updated[idx].tolist()))
 
 
@@ -284,6 +278,25 @@ def soft_nms(
     )
 
 
+def run_method(
+    method: str,
+    masks: Sequence[ScoredMask],
+    ious: IoUMatrix,
+    config: SuppressionConfig,
+) -> SuppressionResult:
+    """Run one method on score-sorted masks and their IoU matrix, with the
+    decay and thresholds taken from `config`."""
+    if method == "matrix":
+        return matrix_nms(masks, ious, config.decay, config.score_threshold)
+    if method == "hard":
+        return hard_nms(masks, ious, config.iou_threshold)
+    if method == "fast":
+        return fast_nms(masks, ious, config.iou_threshold)
+    if method == "soft":
+        return soft_nms(masks, config.decay, config.score_threshold, ious=ious)
+    raise ValueError(f"method must be one of {METHODS}")
+
+
 def suppress(
     masks: Sequence[ScoredMask],
     config: Optional[SuppressionConfig] = None,
@@ -306,14 +319,7 @@ def suppress(
         orig = [members[p] for p in order]
         group = [masks[i] for i in orig]
         ious = pairwise_iou_matrix([m.mask for m in group])
-        if cfg.method == "matrix":
-            res = matrix_nms(group, ious, cfg.decay)
-        elif cfg.method == "hard":
-            res = hard_nms(group, ious, cfg.iou_threshold)
-        elif cfg.method == "fast":
-            res = fast_nms(group, ious, cfg.iou_threshold)
-        else:
-            res = soft_nms(group, cfg.decay, cfg.score_threshold, ious=ious)
+        res = run_method(cfg.method, group, ious, cfg)
         pairs.extend(
             (orig[j], s) for j, s in zip(res.kept_indices, res.updated_scores)
         )

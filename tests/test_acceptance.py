@@ -2,47 +2,16 @@
 
 Each test prints a single `ACCEPTANCE <n> PASS/FAIL ...` line (visible with
 `pytest tests/test_acceptance.py -v -s`); the same line is the assertion
-message on failure.
+message on failure. The oracle comparisons are the `maskops.bench.CHECKS`
+registry entries that `maskbench verify` runs, here at larger case counts.
 """
 
 import time
 
 import numpy as np
 
-from maskops import (
-    BinaryMask,
-    DecayFn,
-    FeatureMap,
-    IoUMatrix,
-    SceneSpec,
-    ScoredMask,
-    dice_loss,
-    dynamic_conv_1x1,
-    dynamic_conv_3x3,
-    fast_nms,
-    focal_loss,
-    gen_scene,
-    hard_nms,
-    inference_pipeline,
-    matrix_nms,
-    pairwise_iou_matrix,
-    rle_decode,
-    rle_encode,
-    run_bench,
-    soft_nms,
-    sort_by_score,
-)
-from maskops import formats
-from maskops.bench import seeded_pipeline_inputs
-from maskops.reference import (
-    conv1x1_loops,
-    conv3x3_loops,
-    finite_difference_grad,
-    greedy_keep,
-    naive_matrix_decay,
-)
-
-DOT = ScoredMask(BinaryMask.from_array(np.ones((1, 1), dtype=bool)), 1.0)
+from maskops import SceneSpec, gen_scene, run_bench
+from maskops.bench import CHECKS
 
 
 def _report(num: int, passed: bool, detail: str):
@@ -51,121 +20,34 @@ def _report(num: int, passed: bool, detail: str):
     assert passed, line
 
 
-def _sorted_scene(spec: SceneSpec):
-    scene = gen_scene(spec)
-    order = sort_by_score(scene)
-    return [scene[i] for i in order]
-
-
-def _random_spec(rng, max_instances: int, size: int = 64) -> SceneSpec:
-    return SceneSpec(
-        height=size,
-        width=size,
-        num_instances=int(rng.integers(1, max_instances + 1)),
-        num_duplicates_per_instance=int(rng.integers(0, 4)),
-        shape="rectangle" if rng.random() < 0.5 else "ellipse",
-        seed=int(rng.integers(0, 2**31)),
-    )
+def _run_check(num: int, name: str, seed: int, cases: int):
+    check = CHECKS[name](np.random.default_rng(seed), cases)
+    _report(num, check.passed, check.detail)
 
 
 def test_01_matrix_decay_matches_direct_evaluation():
     """One-shot decay vs the double-loop evaluation, 1000 scenes, both decays."""
-    rng = np.random.default_rng(101)
-    decays = (DecayFn("gauss", 0.5), DecayFn("linear"))
     t0 = time.perf_counter()
-    worst = 0.0
-    for case in range(1000):
-        if case % 10 == 0:
-            # Every tenth scene uses real masks instead of a synthetic matrix.
-            masks = _sorted_scene(_random_spec(rng, max_instances=40, size=96))
-            ious = pairwise_iou_matrix([m.mask for m in masks])
-        else:
-            n = int(rng.integers(1, 201))
-            v = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
-            if n > 1 and rng.random() < 0.3:
-                # exact-overlap entries exercise the linear 1/(1-cmax) pole
-                i = int(rng.integers(0, n - 1))
-                v[i, int(rng.integers(i + 1, n))] = 1.0
-            ious = IoUMatrix(v)
-            scores = np.sort(rng.uniform(0.01, 1.0, n))[::-1]
-            masks = [ScoredMask(DOT.mask, float(s)) for s in scores]
-        rows = ious.values.tolist()
-        scores = [m.score for m in masks]
-        for decay in decays:
-            got = matrix_nms(masks, ious, decay)
-            updated = dict(zip(got.kept_indices, got.updated_scores))
-            want = naive_matrix_decay(scores, rows, decay.kind, decay.sigma)
-            for j, w in enumerate(want):
-                worst = max(worst, abs(updated.get(j, 0.0) - w))
+    check = CHECKS["matrix-vs-naive"](np.random.default_rng(101), 1000)
     elapsed = time.perf_counter() - t0
-    passed = worst <= 1e-6 and elapsed < 30.0
     _report(
         1,
-        passed,
-        f"max |matrix - direct| = {worst:.2e} over 1000 scenes x 2 decays "
-        f"(tol 1e-06) in {elapsed:.1f} s (limit 30 s)",
+        check.passed and elapsed < 30.0,
+        f"{check.detail} in {elapsed:.1f} s (limit 30 s)",
     )
 
 
 def test_02_tiny_inputs_matrix_equals_soft_exactly():
     """On 1- and 2-mask inputs the one-shot and sequential decays coincide."""
-    rng = np.random.default_rng(202)
-    mismatches = 0
-    for case in range(1000):
-        n = 1 + (case % 2)
-        arr = rng.random((n, 12, 16)) < rng.uniform(0.2, 0.8)
-        if n == 2 and rng.random() < 0.4:
-            arr[1] = arr[0]  # identical pair: IoU exactly 1
-        pool = [BinaryMask.from_array(a) for a in arr]
-        scores = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
-        masks = [ScoredMask(m, float(s)) for m, s in zip(pool, scores)]
-        decay = DecayFn("gauss" if case % 4 < 2 else "linear")
-        via_matrix = matrix_nms(masks, pairwise_iou_matrix(pool), decay)
-        sequential = soft_nms(masks, decay, 0.0)
-        if via_matrix != sequential:
-            mismatches += 1
-    _report(
-        2,
-        mismatches == 0,
-        f"{1000 - mismatches}/1000 random 1-2 mask inputs bit-identical "
-        "between matrix_nms and soft_nms",
-    )
+    _run_check(2, "soft-matrix-n2", 202, 1000)
 
 
 def test_03_hard_nms_matches_greedy_walk():
-    rng = np.random.default_rng(303)
-    mismatches = 0
-    for _ in range(1000):
-        masks = _sorted_scene(_random_spec(rng, max_instances=6))
-        threshold = float(rng.choice([0.3, 0.5, 0.7]))
-        got = hard_nms(masks, pairwise_iou_matrix([m.mask for m in masks]), threshold)
-        if list(got.kept_indices) != greedy_keep(masks, threshold):
-            mismatches += 1
-    _report(
-        3,
-        mismatches == 0,
-        f"{1000 - mismatches}/1000 scenes: hard_nms kept set equals the "
-        "greedy sequential walk exactly",
-    )
+    _run_check(3, "hard-vs-greedy", 303, 1000)
 
 
 def test_04_fast_kept_subset_of_hard():
-    rng = np.random.default_rng(404)
-    violations = 0
-    for _ in range(1000):
-        masks = _sorted_scene(_random_spec(rng, max_instances=6))
-        ious = pairwise_iou_matrix([m.mask for m in masks])
-        threshold = float(rng.choice([0.3, 0.5, 0.7]))
-        fast = set(fast_nms(masks, ious, threshold).kept_indices)
-        hard = set(hard_nms(masks, ious, threshold).kept_indices)
-        if not fast <= hard:
-            violations += 1
-    _report(
-        4,
-        violations == 0,
-        f"{1000 - violations}/1000 scenes: fast_nms keeps a subset of "
-        "hard_nms at equal threshold",
-    )
+    _run_check(4, "fast-subset-hard", 404, 1000)
 
 
 def test_05_suppression_speed_ordering():
@@ -188,113 +70,19 @@ def test_05_suppression_speed_ordering():
 
 
 def test_06_dynamic_conv_matches_loop_oracles():
-    rng = np.random.default_rng(606)
-    worst = 0.0
-    for _ in range(100):
-        h, w = (int(v) for v in rng.integers(1, 13, 2))
-        e = int(rng.integers(1, 9))
-        feature = FeatureMap(rng.standard_normal((h, w, e)))
-        k1 = rng.standard_normal(e)
-        k9 = rng.standard_normal(9 * e)
-        for got, want in (
-            (dynamic_conv_1x1(feature, k1), conv1x1_loops(feature.data, k1)),
-            (dynamic_conv_3x3(feature, k9), conv3x3_loops(feature.data, k9)),
-        ):
-            scale = max(float(np.abs(want).max()), 1e-30)
-            worst = max(worst, float(np.abs(got - want).max()) / scale)
-    exact = True
-    for _ in range(25):
-        h, w = (int(v) for v in rng.integers(1, 9, 2))
-        e = int(rng.integers(1, 6))
-        feature = FeatureMap(rng.integers(-4, 5, (h, w, e)).astype(np.float64))
-        k1 = rng.integers(-4, 5, e).astype(np.float64)
-        k9 = rng.integers(-4, 5, 9 * e).astype(np.float64)
-        exact &= np.array_equal(
-            dynamic_conv_1x1(feature, k1), conv1x1_loops(feature.data, k1)
-        )
-        exact &= np.array_equal(
-            dynamic_conv_3x3(feature, k9), conv3x3_loops(feature.data, k9)
-        )
-    passed = worst <= 1e-6 and exact
-    _report(
-        6,
-        passed,
-        f"max relative error {worst:.2e} over 100 shapes x 2 ops (tol 1e-06); "
-        f"integer inputs bit-exact: {exact}",
-    )
+    _run_check(6, "conv-vs-loops", 606, 100)
 
 
 def test_07_loss_gradients_match_finite_differences():
-    rng = np.random.default_rng(707)
-    worst_dice = 0.0
-    for _ in range(100):
-        h, w = (int(v) for v in rng.integers(2, 9, 2))
-        pred = rng.uniform(0.05, 0.95, (h, w))
-        target = BinaryMask.from_array(rng.random((h, w)) < 0.5)
-        _, grad = dice_loss(pred, target)
-        fd = finite_difference_grad(lambda p: dice_loss(p, target)[0], pred)
-        scale = max(float(np.abs(fd).max()), 1e-12)
-        worst_dice = max(worst_dice, float(np.abs(grad - fd).max()) / scale)
-
-    worst_focal = 0.0
-    for _ in range(100):
-        p = float(rng.uniform(0.05, 0.95))
-        target = int(rng.integers(0, 2))
-        gamma = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
-        _, grad = focal_loss(p, target, gamma=gamma)
-        fd = finite_difference_grad(
-            lambda x: focal_loss(float(x[0]), target, gamma=gamma)[0],
-            np.array([p]),
-        )[0]
-        worst_focal = max(worst_focal, abs(grad - fd) / max(abs(fd), 1e-12))
-
-    example = round(focal_loss(0.3, 1)[0], 5)
-    passed = worst_dice <= 1e-4 and worst_focal <= 1e-4 and example == 0.14749
-    _report(
-        7,
-        passed,
-        f"dice rel err {worst_dice:.2e}, focal rel err {worst_focal:.2e} "
-        f"(tol 1e-04, 100 cases each); focal(0.3, 1) = {example} (want 0.14749)",
-    )
+    _run_check(7, "loss-gradients", 707, 100)
 
 
 def test_08_pipeline_output_is_deterministic():
-    category, kernels, pyramid = seeded_pipeline_inputs(808)
-
-    def render() -> bytes:
-        instances = inference_pipeline(category, kernels, pyramid)
-        return formats.to_json(formats.instances_to_dict(instances)).encode()
-
-    runs = [render() for _ in range(10)]
-    identical = all(r == runs[0] for r in runs)
-    count = runs[0].count(b'"score"')
-    _report(
-        8, identical and count > 0, f"10 runs all byte-identical ({count} instances)"
-    )
+    _run_check(8, "pipeline-determinism", 808, 10)
 
 
 def test_09_rle_round_trip():
-    rng = np.random.default_rng(909)
-    failures = 0
-    for case in range(10000):
-        h, w = (int(v) for v in rng.integers(1, 33, 2))
-        if case % 100 == 0:
-            arr = np.full((h, w), case % 200 == 0)  # all-empty / all-full
-        else:
-            arr = rng.random((h, w)) < rng.uniform(0.0, 1.0)
-        first = rle_encode(BinaryMask.from_array(arr))
-        second = rle_encode(rle_decode(first))
-        same = (
-            (first.height, first.width) == (second.height, second.width)
-            and np.asarray(first.counts, "<i8").tobytes()
-            == np.asarray(second.counts, "<i8").tobytes()
-        )
-        failures += 0 if same else 1
-    _report(
-        9,
-        failures == 0,
-        f"{10000 - failures}/10000 masks: encode-decode-encode byte-identical",
-    )
+    _run_check(9, "rle-round-trip", 909, 10000)
 
 
 def test_10_out_of_scope_metrics():

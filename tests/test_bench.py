@@ -4,6 +4,8 @@ import pytest
 from maskops import (
     BenchReport,
     SceneSpec,
+    SuppressionResult,
+    bench,
     gen_scene,
     run_bench,
     run_verification,
@@ -63,18 +65,25 @@ def test_score_checksum_sensitivity():
 
 def test_run_verification_all_pass():
     checks = run_verification(seed=0)
-    assert len(checks) >= 8
+    assert [c.name for c in checks] == list(bench.CHECKS)
+    assert len(checks) == 10
     for c in checks:
         assert c.passed, f"{c.name}: {c.detail}"
 
 
-def test_cross_check_guards_bench():
-    # Sabotaged scores cannot fail verification (cross-checks recompute from
-    # the same inputs), so instead prove the hook is live: verify=False skips
-    # it and verify=True runs it without error on a healthy scene.
-    scene = gen_scene(SMALL)
-    run_bench(scene, methods=("matrix",), repeats=3, verify=False)
-    run_bench(scene, methods=("matrix",), repeats=3, verify=True)
+def test_cross_check_guards_bench(monkeypatch):
+    # A matrix_nms whose scores are off by 0.1% must never get timed.
+    real = bench.matrix_nms
+
+    def scaled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return SuppressionResult(
+            res.kept_indices, tuple(0.999 * s for s in res.updated_scores)
+        )
+
+    monkeypatch.setattr(bench, "matrix_nms", scaled)
+    with pytest.raises(VerificationError, match="matrix_nms"):
+        run_bench(gen_scene(SMALL), methods=("matrix",), repeats=3)
 
 
 def test_seeded_pipeline_inputs_shape():

@@ -96,7 +96,7 @@ def test_bench_json(tmp_path, capsys):
 
 def test_bench_single_method_table(capsys):
     argv = ["bench", "--instances", "4", "--duplicates", "1", "--method", "matrix",
-            "--repeats", "3", "--format", "table", "--no-verify"]
+            "--repeats", "3", "--format", "table"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     lines = out.strip().splitlines()
@@ -127,6 +127,18 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     notjson.write_text("[[[")
     code, _, _ = run_cli(["suppress", str(notjson)], capsys)
     assert code == 2
+
+
+def test_oversized_mask_set_exits_2(tmp_path, capsys):
+    # A count past int64 once escaped as an OverflowError traceback.
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({
+        "height": 10**10, "width": 10**10,
+        "instances": [{"counts": [10**20], "score": 0.5}],
+    }))
+    code, _, err = run_cli(["suppress", str(huge)], capsys)
+    assert code == 2
+    assert "malformed mask set" in err
 
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maskops import (
     BinaryMask,
@@ -13,19 +15,15 @@ from maskops import (
     pairwise_iou_matrix,
     sort_by_score,
 )
+from maskops import formats
 from maskops.formats import (
     instances_to_dict,
     kept_to_dict,
-    load_categories,
-    load_feature,
-    load_kernels,
     mask_set_from_dict,
     mask_set_to_dict,
     read_mask_set,
-    read_tensor,
     to_json,
     write_mask_set,
-    write_tensor,
 )
 from maskops.dynahead import Instance
 from maskops.masks import mask_to_box
@@ -80,6 +78,13 @@ def test_mask_set_rejects_mixed_dims():
          "instances": [{"counts": [5, 5], "score": 0.5, "category": True}]},
         {"height": 1.5, "width": 10, "instances": []},
         {"height": 1, "width": 10.0, "instances": []},
+        # Past the pixel cap: a count beyond int64, and a huge allocation.
+        {"height": 10000000000, "width": 10000000000,
+         "instances": [{"counts": [100000000000000000000], "score": 0.5}]},
+        {"height": 100000, "width": 100000,
+         "instances": [{"counts": [10000000000], "score": 0.5}]},
+        # A score too large for a float.
+        {"height": 1, "width": 1, "instances": [{"counts": [1], "score": 10**400}]},
     ],
 )
 def test_malformed_mask_set(doc):
@@ -87,64 +92,98 @@ def test_malformed_mask_set(doc):
         mask_set_from_dict(doc)
 
 
+def test_mask_set_pixel_cap(monkeypatch):
+    # The cap admits a COCO-scale set and the benchmark's largest set.
+    assert 100 * 640 * 480 <= formats.MAX_MASK_SET_PIXELS
+    assert 300 * 128 * 128 <= formats.MAX_MASK_SET_PIXELS
+    monkeypatch.setattr(formats, "MAX_MASK_SET_PIXELS", 20)
+    inst = {"counts": [10], "score": 0.5}
+    doc = {"height": 2, "width": 5, "instances": [inst, inst]}
+    assert len(mask_set_from_dict(doc)) == 2
+    with pytest.raises(ValueError, match="malformed mask set: 3 masks"):
+        mask_set_from_dict({**doc, "instances": [inst] * 3})
+
+
+# JSON-like values, and documents shaped like a mask set whose fields take
+# any such value. Dimensions are either small or far past the pixel cap, so
+# no generated document can ask for a large decode; the last kind has valid
+# counts, so parsing reaches the score and category fields.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_dims = st.integers(-2, 12) | st.integers(min_value=2**40) | _json
+_counts = st.lists(st.integers(-2, 150) | st.integers(min_value=2**62), max_size=6)
+_score = (
+    st.floats(0.0, 1.0) | st.floats() | st.integers()
+    | st.integers(min_value=2**1100) | _json
+)
+
+
+def _instances(counts):
+    return st.lists(
+        st.fixed_dictionaries(
+            {"counts": counts, "score": _score},
+            optional={"category": st.integers() | _json},
+        ),
+        max_size=3,
+    )
+
+
+_documents = (
+    _json
+    | st.fixed_dictionaries(
+        {"height": _dims, "width": _dims,
+         "instances": _instances(_counts | _json) | _json}
+    )
+    | st.integers(1, 8).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {"height": st.just(1), "width": st.just(n),
+             "instances": _instances(st.sampled_from([[n], [0, n]]))}
+        )
+    )
+)
+
+
+@settings(deadline=None)
+@given(_documents)
+def test_mask_set_from_dict_returns_or_raises_value_error(doc):
+    try:
+        masks = mask_set_from_dict(doc)
+    except ValueError:
+        return
+    assert all(isinstance(m, ScoredMask) for m in masks)
+
+
+@st.composite
+def _mask_sets(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    masks = [
+        ScoredMask(
+            BinaryMask.from_array(draw(arrays(bool, (h, w)))),
+            draw(st.floats(0.0, 1.0, exclude_min=True)),
+            draw(st.integers(0, 2**40)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return h, w, masks
+
+
+@settings(deadline=None)
+@given(_mask_sets())
+def test_mask_set_dict_round_trip(case):
+    h, w, masks = case
+    doc = json.loads(to_json(mask_set_to_dict(masks, h, w)))
+    assert mask_set_from_dict(doc) == masks
+
+
 def test_mask_set_bad_rle_counts():
     # Structurally fine JSON whose counts violate the run-length invariants.
     doc = {"height": 2, "width": 2, "instances": [{"score": 0.5, "counts": [1, 1]}]}
     with pytest.raises(ValueError):
         mask_set_from_dict(doc)
-
-
-def test_tensor_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    arr = rng.standard_normal((3, 4, 5))
-    path = tmp_path / "feat.bin"
-    write_tensor(path, arr, "feature")
-    back, kind = read_tensor(path)
-    assert kind == "feature"
-    assert back.shape == (3, 4, 5)
-    assert back.dtype == np.float64
-    # Payload is float32, so the round trip quantizes to float32 precision.
-    np.testing.assert_array_equal(back, arr.astype(np.float32).astype(np.float64))
-
-
-def test_tensor_kind_validation(tmp_path):
-    with pytest.raises(ValueError):
-        write_tensor(tmp_path / "x.bin", np.zeros((2, 2)), "weights")
-
-
-def test_tensor_malformed_header(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"not json\n\x00\x00\x00\x00")
-    with pytest.raises(ValueError, match="malformed tensor header"):
-        read_tensor(path)
-    path.write_bytes(b'{"shape": [1]}\n\x00\x00\x00\x00')
-    with pytest.raises(ValueError):
-        read_tensor(path)
-    path.write_bytes(b'{"shape": [2], "kind": "feature"}\n\x00\x00\x00\x00')
-    with pytest.raises(ValueError, match="payload size"):
-        read_tensor(path)
-
-
-def test_typed_loaders(tmp_path):
-    rng = np.random.default_rng(1)
-    fpath, kpath, cpath = (tmp_path / n for n in ("f.bin", "k.bin", "c.bin"))
-    write_tensor(fpath, rng.standard_normal((6, 8, 4)), "feature")
-    write_tensor(kpath, rng.standard_normal((3, 3, 4)), "kernel")
-    write_tensor(cpath, rng.uniform(0.0, 1.0, (3, 3, 2)), "category")
-
-    feature = load_feature(fpath)
-    assert (feature.height, feature.width, feature.channels) == (6, 8, 4)
-    kernels = load_kernels(kpath, feature_channels=4)
-    assert kernels.grid_size == 3 and kernels.kernel_size == 1
-    categories = load_categories(cpath)
-    assert categories.grid_size == 3 and categories.num_classes == 2
-
-    with pytest.raises(ValueError, match="expected a feature"):
-        load_feature(kpath)
-    with pytest.raises(ValueError, match="expected a kernel"):
-        load_kernels(cpath, feature_channels=4)
-    with pytest.raises(ValueError, match="expected a category"):
-        load_categories(fpath)
 
 
 def test_kept_to_dict():

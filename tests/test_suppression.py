@@ -17,6 +17,7 @@ from maskops import (
     suppress,
 )
 from maskops.reference import naive_matrix_decay
+from maskops.suppression import run_method
 
 DUMMY = BinaryMask.from_array([[1]])
 
@@ -50,9 +51,9 @@ def test_sort_by_score(scores, perm):
 
 
 def test_decayfn_validation():
-    assert DecayFn("gaussian").kind == "gauss"
-    with pytest.raises(ValueError):
-        DecayFn("cubic")
+    for kind in ("gaussian", "cubic"):
+        with pytest.raises(ValueError):
+            DecayFn(kind)
     with pytest.raises(ValueError):
         DecayFn("gauss", sigma=-1.0)
 
@@ -115,13 +116,11 @@ def test_matrix_nms_all_identical_linear():
     assert res.updated_scores == (0.9,)
 
 
-def test_matrix_nms_score_threshold_and_top_k():
+def test_matrix_nms_score_threshold():
     res = matrix_nms(
         scored(0.9, 0.8, 0.7), THREE, DecayFn("linear"), score_threshold=0.2
     )
     assert res.kept_indices == (0, 2)
-    res = matrix_nms(scored(0.9, 0.8, 0.7), THREE, DecayFn("linear"), top_k=2)
-    assert res.kept_indices == (0, 2)  # two highest updated scores: 0.9, 0.63
 
 
 def test_matrix_nms_requires_sorted_scores():
@@ -323,3 +322,5 @@ def test_config_validation():
         SuppressionConfig(iou_threshold=1.5)
     with pytest.raises(ValueError):
         SuppressionConfig(top_k=0)
+    with pytest.raises(ValueError):
+        run_method("other", scored(0.9), upper(1, {}), SuppressionConfig())
