@@ -8,7 +8,6 @@ from .masks import (
     RleMask,
     box_iou,
     box_to_mask,
-    mask_area,
     mask_iou,
     mask_to_box,
     pairwise_iou_matrix,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryMask", "Box", "IoUMatrix", "RleMask", "box_iou", "box_to_mask",
-    "mask_area", "mask_iou", "mask_to_box", "pairwise_iou_matrix",
+    "mask_iou", "mask_to_box", "pairwise_iou_matrix",
     "rle_decode", "rle_encode",
     "DecayFn", "ScoredMask", "SuppressionConfig", "SuppressionResult",
     "fast_nms", "hard_nms", "matrix_nms", "soft_nms", "sort_by_score",

@@ -103,11 +103,7 @@ class SoftMask:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or min(arr.shape) < 1:
-            raise ValueError("values must be a 2-D map")
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
-            raise ValueError("values must lie strictly inside (0, 1)")
+        arr = probabilities(self.values, 2)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -134,6 +130,20 @@ class SoftMask:
     def binarize(self, threshold: float = 0.5) -> BinaryMask:
         """Threshold to a binary mask; values exactly at threshold are foreground."""
         return BinaryMask.from_array(self.values >= threshold)
+
+
+def probabilities(values, ndim: int) -> np.ndarray:
+    """Floating-point `values` with `ndim` non-empty dims, as float64, whose
+    entries lie strictly inside (0, 1), which also rules out NaN and infinities.
+
+    A float64 input is returned as is, not copied, and stays writable."""
+    arr = np.asarray(values)
+    if arr.dtype.kind != "f" or arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"values must be a non-empty {ndim}-D float array")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise ValueError("values must lie strictly inside (0, 1)")
+    return arr
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -171,13 +181,21 @@ class NormConvStage:
         object.__setattr__(self, "gn_shift", shift)
 
 
+def _check_groups(groups: int, *channel_counts: int):
+    """Group norm splits channels into `groups` equal groups."""
+    if groups < 1 or any(c % groups for c in channel_counts):
+        raise ValueError(f"groups={groups} must be >= 1 and divide {channel_counts}")
+
+
 @dataclass(frozen=True)
 class FusionWeights:
-    """Fixed parameters for fuse_pyramid.
+    """Fixed parameters for fuse_pyramid, validated as one chain of C channels.
 
     stages[level] holds that level's (3x3 conv, group norm) stages — level i
-    has i of them; the deepest level's first conv consumes 2 extra coordinate
-    channels. `output` is the final 1x1 conv + group norm producing E channels.
+    has i of them, each with a (3, 3, C, C) kernel, except that the deepest
+    level's first conv consumes 2 extra coordinate channels: (3, 3, C + 2, C).
+    `output` is the final 1x1 conv + group norm, a (C, E) kernel. `groups`
+    divides both C and E.
     """
 
     stages: tuple
@@ -186,16 +204,26 @@ class FusionWeights:
     eps: float = 1e-5
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "stages", tuple(tuple(level) for level in self.stages)
-        )
-        if self.groups < 1:
-            raise ValueError("groups must be positive")
+        stages = tuple(tuple(level) for level in self.stages)
+        object.__setattr__(self, "stages", stages)
+        if not stages:
+            raise ValueError("need at least one level")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
-        for li, level in enumerate(self.stages):
+        if self.output.kernel.ndim != 2:
+            raise ValueError("output kernel must be (C, E)")
+        c, e = self.output.kernel.shape
+        _check_groups(self.groups, c, e)
+        deepest = len(stages) - 1
+        for li, level in enumerate(stages):
             if len(level) != li:
                 raise ValueError(f"level {li} must have exactly {li} stages")
+            for si, st in enumerate(level):
+                cin = c + 2 if (li == deepest and si == 0) else c
+                if st.kernel.shape != (3, 3, cin, c):
+                    raise ValueError(
+                        f"level {li} stage {si} kernel must be (3, 3, {cin}, {c})"
+                    )
 
     @property
     def num_levels(self) -> int:
@@ -219,11 +247,7 @@ class FusionWeights:
         groups: Optional[int] = None,
     ) -> "FusionWeights":
         """Deterministic pseudo-random weights (stand-in for trained ones)."""
-        if num_levels < 1:
-            raise ValueError("need at least one level")
         groups = min(32, channels) if groups is None else groups
-        if channels % groups or out_channels % groups:
-            raise ValueError("groups must divide channel counts")
         rng = np.random.default_rng(seed)
 
         def stage(cin: int, cout: int, spatial: bool) -> NormConvStage:
@@ -360,9 +384,7 @@ def group_norm(
 ) -> FeatureMap:
     """Normalize each channel group to mean 0 / variance 1 over
     (spatial x group-channels), then apply the affine scale and shift."""
-    c = feature.channels
-    if c % groups:
-        raise ValueError("channels must be divisible by groups")
+    _check_groups(groups, feature.channels)
     out = _group_norm(feature.data, groups, epsilon)
     if scale is not None:
         out = out * np.asarray(scale, dtype=np.float64)
@@ -380,16 +402,11 @@ def _group_norm(x: np.ndarray, groups: int, eps: float) -> np.ndarray:
 
 
 def _norm_conv(x: np.ndarray, st: NormConvStage, groups: int, eps: float) -> np.ndarray:
+    # FusionWeights and PyramidLevels have checked every shape on the way here.
     if st.kernel.ndim == 4:
-        if st.kernel.shape[2] != x.shape[2]:
-            raise ValueError("stage kernel input channels mismatch")
         x = _conv3x3(x, st.kernel)
     else:
-        if st.kernel.shape[0] != x.shape[2]:
-            raise ValueError("output kernel input channels mismatch")
         x = x @ st.kernel
-    if x.shape[2] % groups:
-        raise ValueError("channels must be divisible by groups")
     return _group_norm(x, groups, eps) * st.gn_scale + st.gn_shift
 
 

@@ -8,7 +8,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .dynahead import SoftMask
+from .dynahead import SoftMask, probabilities
 from .masks import BinaryMask
 
 
@@ -17,30 +17,10 @@ class LossConfig:
     """mask_weight is the multiplier on the mask term of the total loss."""
 
     mask_weight: float = 3.0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-    dice_epsilon: float = 1e-6
 
     def __post_init__(self):
         if self.mask_weight < 0.0:
             raise ValueError("mask_weight must be non-negative")
-        if not 0.0 <= self.focal_alpha <= 1.0:
-            raise ValueError("focal_alpha must be in [0, 1]")
-        if self.focal_gamma < 0.0:
-            raise ValueError("focal_gamma must be non-negative")
-        if self.dice_epsilon <= 0.0:
-            raise ValueError("dice_epsilon must be positive")
-
-
-def _pred_values(pred) -> np.ndarray:
-    if isinstance(pred, SoftMask):
-        return pred.values
-    arr = np.asarray(pred, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("pred must be a 2-D map")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("pred values must lie strictly inside (0, 1)")
-    return arr
 
 
 def _target_values(target) -> np.ndarray:
@@ -57,7 +37,8 @@ def dice_loss(pred, target, epsilon: float = 1e-6) -> Tuple[float, np.ndarray]:
 
     D = 2 sum(p q) / (sum(p^2) + sum(q^2) + eps); returns (1 - D, dL/dp).
     """
-    p = _pred_values(pred)
+    # Not SoftMask(pred): that would make the caller's own array read-only.
+    p = pred.values if isinstance(pred, SoftMask) else probabilities(pred, 2)
     q = _target_values(target)
     if p.shape != q.shape:
         raise ValueError("pred and target must share dimensions")
@@ -77,8 +58,7 @@ def focal_loss(
 ) -> Tuple[float, float]:
     """-alpha_t (1 - p_t)^gamma log(p_t) with its gradient w.r.t. pred_prob,
     where p_t = pred_prob when target=1 and 1 - pred_prob otherwise."""
-    if not 0.0 < pred_prob < 1.0:
-        raise ValueError("pred_prob must lie strictly inside (0, 1)")
+    pred_prob = float(probabilities(pred_prob, 0))
     if target not in (0, 1):
         raise ValueError("target must be 0 or 1")
     p_t = pred_prob if target == 1 else 1.0 - pred_prob

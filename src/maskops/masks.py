@@ -82,8 +82,9 @@ class BinaryMask:
 class RleMask:
     """Run-length encoding of a row-major mask.
 
-    Counts alternate background/foreground starting with background; only the
-    leading count may be zero, and the counts must sum to height * width.
+    Counts are Python ints (not bools, floats or NumPy scalars) that alternate
+    background/foreground starting with background; only the leading count may
+    be zero, and the counts must sum to height * width.
     """
 
     height: int
@@ -93,8 +94,11 @@ class RleMask:
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError("mask dims must be >= 1")
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(self.counts)
         object.__setattr__(self, "counts", counts)
+        # bool is a subclass of int, so compare exact types.
+        if not set(map(type, counts)) <= {int}:
+            raise ValueError("counts must be integers")
         if not counts:
             raise ValueError("counts must be non-empty")
         if counts[0] < 0 or any(c <= 0 for c in counts[1:]):
@@ -110,18 +114,15 @@ def rle_encode(mask: BinaryMask) -> RleMask:
     counts = np.diff(bounds)
     if flat[0]:  # leading zero-length background run
         counts = np.concatenate(([0], counts))
-    return RleMask(mask.height, mask.width, tuple(int(c) for c in counts))
+    return RleMask(mask.height, mask.width, tuple(counts.tolist()))
 
 
 def rle_decode(rle: RleMask) -> BinaryMask:
     counts = np.asarray(rle.counts, dtype=np.int64)
-    values = np.arange(counts.size) % 2  # background first
-    flat = np.repeat(values, counts).astype(bool)
+    # Repeat bools, not ints: the expanded mask is then 1 byte per pixel.
+    values = np.arange(counts.size) % 2 == 1  # background first
+    flat = np.repeat(values, counts)
     return BinaryMask(rle.height, rle.width, _pack_rows(flat))
-
-
-def mask_area(mask: BinaryMask) -> int:
-    return mask.area
 
 
 def _check_same_dims(a: BinaryMask, b: BinaryMask):

@@ -127,7 +127,10 @@ def _check_matrix(masks: Sequence[ScoredMask], ious: IoUMatrix):
         raise ValueError("IoU matrix size does not match the mask list")
 
 
-def _keep_mask(updated: np.ndarray, score_threshold: float) -> np.ndarray:
+def _keep_mask(updated, score_threshold: float):
+    """The keep rule: a score above the threshold and above zero survives.
+
+    Takes a float or an array and answers in kind."""
     return (updated > score_threshold) & (updated > 0.0)
 
 
@@ -259,7 +262,7 @@ def soft_nms(
             if scores[k] > scores[best]:
                 best = k
         s = scores[best]
-        if s <= score_threshold or s <= 0.0:
+        if not _keep_mask(s, score_threshold):
             break  # scores only decay; nothing left can pass the keep test
         kept.append(best)
         kept_scores.append(s)
@@ -323,9 +326,8 @@ def suppress(
         pairs.extend(
             (orig[j], s) for j, s in zip(res.kept_indices, res.updated_scores)
         )
-    pairs = [
-        (i, s) for i, s in pairs if s > cfg.score_threshold and s > 0.0
-    ]
+    # hard and fast return their input scores, so the threshold applies here.
+    pairs = [(i, s) for i, s in pairs if _keep_mask(s, cfg.score_threshold)]
     pairs.sort(key=lambda t: (-t[1], t[0]))
     if cfg.top_k is not None:
         pairs = pairs[: cfg.top_k]

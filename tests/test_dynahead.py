@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maskops import (
     CategoryGrid,
@@ -138,8 +139,9 @@ def test_group_norm_affine_and_divisibility():
     out = group_norm(x, 2, scale=np.full(4, 2.0), shift=np.full(4, 1.0)).data
     base = group_norm(x, 2).data
     assert np.allclose(out, base * 2.0 + 1.0)
-    with pytest.raises(ValueError):
-        group_norm(x, 3)
+    for bad in (3, 0, -2):
+        with pytest.raises(ValueError):
+            group_norm(x, bad)
 
 
 def seeded_pyramid(seed=0, levels=4, channels=4, out_channels=8):
@@ -201,6 +203,98 @@ def test_fuse_pyramid_single_level():
     out = fuse_pyramid(PyramidLevels((FeatureMap(x),), weights))
     want = np.maximum(_group_norm(x, 2, 1e-5), 0.0)
     assert np.allclose(out.data, want)
+
+
+def _stage(*shape):
+    return NormConvStage(np.zeros(shape), np.ones(shape[-1]), np.zeros(shape[-1]))
+
+
+def _chain(c=4, e=8, groups=2, level=None, output=None):
+    """Three-level FusionWeights of C channels. `level` = (li, si, shape)
+    replaces one stage's kernel shape and `output` the output kernel's."""
+    shapes = [[], [(3, 3, c, c)], [(3, 3, c + 2, c), (3, 3, c, c)]]
+    if level is not None:
+        li, si, shape = level
+        shapes[li][si] = shape
+    stages = tuple(tuple(_stage(*shape) for shape in lvl) for lvl in shapes)
+    return FusionWeights(stages, _stage(*(output or (c, e))), groups)
+
+
+def test_fusion_weights_valid_chain_fuses():
+    w = _chain()
+    assert (w.channels, w.out_channels) == (4, 8)
+    maps = tuple(FeatureMap(np.ones((8 >> i, 8 >> i, 4))) for i in range(3))
+    assert fuse_pyramid(PyramidLevels(maps, w)).data.shape == (8, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"level": (1, 0, (4, 4))},          # a 1x1 kernel in a level stage
+        {"level": (2, 0, (3, 3, 4, 4))},    # deepest first stage without coords
+        {"level": (1, 0, (3, 3, 6, 4))},    # coords on a shallower level
+        {"level": (2, 1, (3, 3, 4, 6))},    # output other than C, into a conv
+        {"level": (1, 0, (3, 3, 4, 6))},    # output other than C, into the sum
+        {"output": (3, 3, 4, 8)},           # spatial output kernel
+        {"groups": 0},
+        {"groups": 3},                      # divides neither C nor E
+        {"c": 4, "e": 6, "groups": 4},      # divides C but not E
+        {"c": 6, "e": 4, "groups": 4},      # divides E but not C
+    ],
+)
+def test_fusion_weights_reject_at_construction(kwargs):
+    with pytest.raises(ValueError):
+        _chain(**kwargs)
+
+
+def test_seeded_fusion_weights_reject_at_construction():
+    with pytest.raises(ValueError):
+        FusionWeights.seeded(2, 4, 6, groups=4)
+    with pytest.raises(ValueError):
+        FusionWeights.seeded(0, 4, 4)
+    with pytest.raises(ValueError):
+        FusionWeights((), _stage(4, 4), 2)
+
+
+@st.composite
+def _fusion_cases(draw):
+    """Small stage shapes, each near the valid one, so that both accepted and
+    rejected weights come up."""
+    c, e = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    num_levels = draw(st.integers(1, 3))
+
+    def pick(right, *wrong):
+        return draw(st.sampled_from((right, right) + wrong))
+
+    stages = []
+    for li in range(num_levels):
+        level = []
+        for si in range(li):
+            cin = c + 2 if (li == num_levels - 1 and si == 0) else c
+            cin = pick(cin, c, c + 1, c + 2)
+            shape = pick((3, 3, cin, pick(c, c + 1)), (cin, c))
+            level.append(_stage(*shape))
+        stages.append(tuple(level))
+    output = _stage(*pick((pick(c, c + 1), e), (3, 3, c, e)))
+    return tuple(stages), output, draw(st.integers(0, 4))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_fusion_cases())
+def test_fusion_weights_reject_or_fuse(case):
+    stages, output, groups = case
+    try:
+        w = FusionWeights(stages, output, groups)
+    except ValueError:
+        return
+    top = w.num_levels - 1
+    rng = np.random.default_rng(0)
+    maps = tuple(
+        FeatureMap(rng.normal(size=(2 << (top - i), 3 << (top - i), w.channels)))
+        for i in range(w.num_levels)
+    )
+    out = fuse_pyramid(PyramidLevels(maps, w))
+    assert out.data.shape == (2 << top, 3 << top, w.out_channels)
 
 
 def test_pyramid_validation():

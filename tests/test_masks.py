@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from maskops import (
     RleMask,
     box_iou,
     box_to_mask,
-    mask_area,
     mask_iou,
     mask_to_box,
     pairwise_iou_matrix,
@@ -28,7 +29,6 @@ def test_from_array_round_trip():
     assert m.height == 2 and m.width == 3
     assert np.array_equal(m.to_array(), arr)
     assert m.area == 3
-    assert mask_area(m) == 3
 
 
 def test_mask_equality_and_repr():
@@ -83,11 +83,30 @@ def test_rle_round_trip_random():
         (2, 2, (2, 0, 2)),   # interior zero
         (2, 2, ()),          # empty
         (2, 2, (1, -1, 4)),  # negative
+        (1, 4, (2.9, 2.0)),  # floats, once truncated to (2, 2)
+        (1, 4, (2.0, 2)),    # integral float
+        (1, 2, (True, 1)),   # bool
+        (1, 4, (np.int64(4),)),
     ],
 )
 def test_rle_validation(h, w, counts):
     with pytest.raises(ValueError):
         RleMask(h, w, counts)
+
+
+def test_rle_decode_peak_memory():
+    # A 2048x2048 mask of three runs: decoding expands to one byte per pixel
+    # before packing to bits, never to an integer per pixel.
+    n = 2048 * 2048
+    rle = RleMask(2048, 2048, (1000, n - 2000, 1000))
+    tracemalloc.start()
+    try:
+        mask = rle_decode(rle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask.area == n - 2000
+    assert peak < 2 * n
 
 
 def test_rle_leading_zero_allowed():
