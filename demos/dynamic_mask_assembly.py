@@ -37,8 +37,9 @@ coords = coord_channels(3, 5)
 print("x-coordinate channel of a 3x5 map:")
 print(coords.data[:, :, 0])
 
-# assemble_masks runs every confident (cell, class) pair: sigmoid the logits,
-# threshold at 0.5, drop empties. Scores come straight from the category grid.
+# assemble_masks runs every (cell, class) pair scoring above 0.1: keep the
+# pixels whose sigmoid reaches 0.5 (one comparison on the logits), drop
+# empties. Scores come straight from the category grid.
 scores = np.zeros((S, S, 2))
 scores[2, 3, 0] = 0.9   # one confident cell, class 0
 scores[0, 0, 1] = 0.6   # another, class 1

@@ -33,7 +33,6 @@ from .dynahead import (
     Instance,
     KernelGrid,
     PyramidLevels,
-    SoftMask,
     assemble_masks,
     bilinear_upsample_2x,
     coord_channels,
@@ -64,7 +63,7 @@ __all__ = [
     "fast_nms", "hard_nms", "matrix_nms", "soft_nms", "sort_by_score",
     "suppress",
     "CategoryGrid", "FeatureMap", "FusionWeights", "Instance", "KernelGrid",
-    "PyramidLevels", "SoftMask", "assemble_masks", "bilinear_upsample_2x",
+    "PyramidLevels", "assemble_masks", "bilinear_upsample_2x",
     "coord_channels", "dynamic_conv_1x1", "dynamic_conv_3x3", "fuse_pyramid",
     "grid_index", "group_norm", "inference_pipeline",
     "LossConfig", "dice_loss", "focal_loss", "total_loss",

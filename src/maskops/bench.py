@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import formats, reference
+from . import dynahead, formats, reference
 from .dynahead import CategoryGrid, FusionWeights, KernelGrid, PyramidLevels
 from .dynahead import FeatureMap, dynamic_conv_1x1, dynamic_conv_3x3, inference_pipeline
 from .losses import dice_loss, focal_loss
@@ -446,6 +446,35 @@ def _pipeline_determinism(rng, cases):
     return identical and count > 0, (
         f"{cases} runs all byte-identical ({count} instances)"
     )
+
+
+@_check("mask-logit-cutoff", 20)
+def _mask_logit_cutoff(rng, cases):
+    """`mask_foreground` against the sigmoid rule on the 4000 floats around
+    the derived cutoff, on special values, on a log-uniform sweep of small
+    negative logits, and on `cases` arrays of length 1-4097 drawn from all
+    of them, each starting at a different offset into its buffer."""
+    cutoff = dynahead._MASK_LOGIT_CUTOFF
+    bits = int(np.array([abs(cutoff)]).view(np.int64)[0])
+    near = -np.arange(max(bits - 2000, 0), bits + 2000).view(np.float64)
+    special = np.array([0.0, 5e-324, np.finfo(np.float64).tiny, 1.0, 800.0, np.inf])
+    special = np.concatenate([special, -special])
+    sweep = -(10.0 ** rng.uniform(-20.0, -14.0, 1000))
+    samples = [near, special, sweep]
+    pool = np.concatenate(samples + [rng.standard_normal(1000)])
+    for case in range(cases):
+        offset = case % 8
+        n = int(rng.integers(1, 4098))
+        samples.append(rng.choice(pool, offset + n)[offset:])
+    bad = [
+        case
+        for case, x in enumerate(samples)
+        if not np.array_equal(
+            dynahead.mask_foreground(x), reference.sigmoid_foreground(x)
+        )
+    ]
+    passed, detail = _failures(bad, len(samples), "arrays: logit cutoff = sigmoid rule")
+    return passed, f"cutoff {cutoff!r}; {detail}"
 
 
 def run_verification(seed: int = 0) -> list:

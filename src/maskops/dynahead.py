@@ -96,63 +96,12 @@ class CategoryGrid:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True, eq=False)
-class SoftMask:
-    """H x W sigmoid activations, strictly inside (0, 1)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = probabilities(self.values, 2)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def from_logits(cls, raw) -> "SoftMask":
-        """Sigmoid of raw scores, clipped into the open interval so the
-        strict (0,1) invariant survives float64 saturation of large logits."""
-        return cls(
-            np.clip(
-                _sigmoid(np.asarray(raw, dtype=np.float64)),
-                np.finfo(np.float64).tiny,
-                np.nextafter(1.0, 0.0),
-            )
-        )
-
-    def binarize(self, threshold: float = 0.5) -> BinaryMask:
-        """Threshold to a binary mask; values exactly at threshold are foreground."""
-        return BinaryMask.from_array(self.values >= threshold)
-
-
-def probabilities(values, ndim: int) -> np.ndarray:
-    """Floating-point `values` with `ndim` non-empty dims, as float64, whose
-    entries lie strictly inside (0, 1), which also rules out NaN and infinities.
-
-    A float64 input is returned as is, not copied, and stays writable."""
-    arr = np.asarray(values)
-    if arr.dtype.kind != "f" or arr.ndim != ndim or arr.size == 0:
-        raise ValueError(f"values must be a non-empty {ndim}-D float array")
-    arr = arr.astype(np.float64, copy=False)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("values must lie strictly inside (0, 1)")
+def _affine(values, channels: int) -> np.ndarray:
+    """A group-norm scale or shift: one float64 per channel, shape (channels,)."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != (channels,):
+        raise ValueError(f"affine params must have shape ({channels},)")
     return arr
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass(frozen=True)
@@ -165,15 +114,12 @@ class NormConvStage:
 
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=np.float64)
-        scale = np.asarray(self.gn_scale, dtype=np.float64)
-        shift = np.asarray(self.gn_shift, dtype=np.float64)
         if k.ndim not in (2, 4):
             raise ValueError("kernel must be (cin, cout) or (3, 3, cin, cout)")
         if k.ndim == 4 and k.shape[:2] != (3, 3):
             raise ValueError("spatial kernel must be 3x3")
-        cout = k.shape[-1]
-        if scale.shape != (cout,) or shift.shape != (cout,):
-            raise ValueError("affine params must match output channels")
+        scale = _affine(self.gn_scale, k.shape[-1])
+        shift = _affine(self.gn_shift, k.shape[-1])
         for arr in (k, scale, shift):
             arr.setflags(write=False)
         object.__setattr__(self, "kernel", k)
@@ -387,9 +333,9 @@ def group_norm(
     _check_groups(groups, feature.channels)
     out = _group_norm(feature.data, groups, epsilon)
     if scale is not None:
-        out = out * np.asarray(scale, dtype=np.float64)
+        out = out * _affine(scale, feature.channels)
     if shift is not None:
-        out = out + np.asarray(shift, dtype=np.float64)
+        out = out + _affine(shift, feature.channels)
     return FeatureMap(out)
 
 
@@ -434,16 +380,56 @@ def fuse_pyramid(pyramid: PyramidLevels) -> FeatureMap:
     return FeatureMap(out)
 
 
+CONFIDENCE_THRESHOLD = 0.1
+"""A (cell, class) pair yields a mask only if its category score exceeds this."""
+
+MASK_THRESHOLD = 0.5
+"""A pixel is foreground where the sigmoid of its mask logit is at least this."""
+
+
+def _mask_logit_cutoff() -> float:
+    """The logit at which the sigmoid reaches MASK_THRESHOLD = 0.5 in float64.
+
+    For x >= 0 the sigmoid 1 / (1 + exp(-x)) is at least 0.5. Below 0 it is
+    computed as e / (1 + e) with e = np.exp(x), which reaches 0.5 only where
+    e rounds to exactly 1.0. So the cutoff is the most negative x with
+    np.exp(x) == 1.0. That depends on the platform's exp, so it is found by
+    bisection over the float64 bit patterns of [-1, 0] rather than written
+    down; `maskbench verify` compares it with `reference.sigmoid_foreground`.
+    """
+
+    def exp_is_one(bits: int) -> bool:
+        x = -np.array([bits], dtype=np.int64).view(np.float64)
+        return bool(np.exp(x)[0] == 1.0)
+
+    lo, hi = 0, int(np.array([1.0]).view(np.int64)[0])  # bits of 0.0 and 1.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if exp_is_one(mid):
+            lo = mid
+        else:
+            hi = mid
+    return -float(np.array([lo], dtype=np.int64).view(np.float64)[0])
+
+
+_MASK_LOGIT_CUTOFF = _mask_logit_cutoff()
+
+
+def mask_foreground(logits: np.ndarray) -> np.ndarray:
+    """Boolean foreground of a mask's logits: sigmoid(logits) >= MASK_THRESHOLD,
+    as one comparison. +inf is foreground, -inf background, NaN an error."""
+    if np.isnan(logits).any():
+        raise ValueError("mask logits must not be NaN")
+    return logits >= _MASK_LOGIT_CUTOFF
+
+
 def assemble_masks(
-    category: CategoryGrid,
-    kernels: KernelGrid,
-    feature: FeatureMap,
-    confidence_threshold: float = 0.1,
-    mask_threshold: float = 0.5,
+    category: CategoryGrid, kernels: KernelGrid, feature: FeatureMap
 ) -> list:
     """Instantiate a ScoredMask for every (cell, class) whose category score
-    exceeds the confidence threshold: convolve the cell's kernel with the
-    feature, sigmoid, binarize. Cells yielding empty masks are dropped.
+    exceeds CONFIDENCE_THRESHOLD: convolve the cell's kernel with the
+    feature and keep the pixels whose sigmoid reaches MASK_THRESHOLD. Cells
+    yielding empty masks are dropped.
 
     Output order is (grid index k, then category).
     """
@@ -456,11 +442,12 @@ def assemble_masks(
     out = []
     for k in range(s * s):
         i, j = divmod(k, s)
-        hits = np.flatnonzero(category.data[i, j] > confidence_threshold)
+        hits = np.flatnonzero(category.data[i, j] > CONFIDENCE_THRESHOLD)
         if hits.size == 0:
             continue
-        soft = SoftMask.from_logits(conv(feature, kernels.data[i, j]))
-        binary = soft.binarize(mask_threshold)
+        binary = BinaryMask.from_array(
+            mask_foreground(conv(feature, kernels.data[i, j]))
+        )
         if binary.area == 0:
             continue
         out.extend(
@@ -484,18 +471,9 @@ def inference_pipeline(
     kernels: KernelGrid,
     pyramid: PyramidLevels,
     config: Optional[SuppressionConfig] = None,
-    confidence_threshold: float = 0.1,
-    mask_threshold: float = 0.5,
 ) -> list:
     """fuse_pyramid -> assemble_masks -> suppress -> boxes, deterministically."""
-    feature = fuse_pyramid(pyramid)
-    masks = assemble_masks(
-        category,
-        kernels,
-        feature,
-        confidence_threshold=confidence_threshold,
-        mask_threshold=mask_threshold,
-    )
+    masks = assemble_masks(category, kernels, fuse_pyramid(pyramid))
     result = suppress(masks, config)
     return [
         Instance(masks[i].mask, mask_to_box(masks[i].mask), s, masks[i].category)

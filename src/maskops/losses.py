@@ -8,7 +8,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .dynahead import SoftMask, probabilities
 from .masks import BinaryMask
 
 
@@ -23,13 +22,30 @@ class LossConfig:
             raise ValueError("mask_weight must be non-negative")
 
 
+def probabilities(values, ndim: int) -> np.ndarray:
+    """Floating-point `values` with `ndim` non-empty dims, as float64, whose
+    entries lie strictly inside (0, 1), which also rules out NaN and infinities.
+
+    A float64 input is returned as is, not copied, and stays writable."""
+    arr = np.asarray(values)
+    if arr.dtype.kind != "f" or arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"values must be a non-empty {ndim}-D float array")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise ValueError("values must lie strictly inside (0, 1)")
+    return arr
+
+
 def _target_values(target) -> np.ndarray:
+    """A BinaryMask, or a 2-D map whose every value is 0 or 1, as float64."""
     if isinstance(target, BinaryMask):
         return target.to_array().astype(np.float64)
     arr = np.asarray(target, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("target must be a 2-D map")
-    return (arr != 0.0).astype(np.float64)
+    if not np.all((arr == 0.0) | (arr == 1.0)):
+        raise ValueError("target values must be 0 or 1")
+    return arr
 
 
 def dice_loss(pred, target, epsilon: float = 1e-6) -> Tuple[float, np.ndarray]:
@@ -37,8 +53,7 @@ def dice_loss(pred, target, epsilon: float = 1e-6) -> Tuple[float, np.ndarray]:
 
     D = 2 sum(p q) / (sum(p^2) + sum(q^2) + eps); returns (1 - D, dL/dp).
     """
-    # Not SoftMask(pred): that would make the caller's own array read-only.
-    p = pred.values if isinstance(pred, SoftMask) else probabilities(pred, 2)
+    p = probabilities(pred, 2)
     q = _target_values(target)
     if p.shape != q.shape:
         raise ValueError("pred and target must share dimensions")

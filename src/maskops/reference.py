@@ -8,6 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynahead import MASK_THRESHOLD
 from .masks import mask_iou
 from .suppression import ScoredMask
 
@@ -98,6 +99,19 @@ def conv3x3_loops(feature: np.ndarray, kernel: np.ndarray) -> np.ndarray:
                             acc += feature[sy, sx, ch] * k[ky, kx, ch]
             out[y, x] = acc
     return out
+
+
+def sigmoid_foreground(logits: np.ndarray) -> np.ndarray:
+    """Foreground by the explicit rule: the two-branch sigmoid, clipped into
+    the open interval (0, 1), compared with MASK_THRESHOLD."""
+    x = np.asarray(logits, dtype=np.float64)
+    prob = np.empty_like(x)
+    pos = x >= 0
+    prob[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    prob[~pos] = ex / (1.0 + ex)
+    prob = np.clip(prob, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+    return prob >= MASK_THRESHOLD
 
 
 def finite_difference_grad(

@@ -46,7 +46,7 @@ class DecayFn:
     def __post_init__(self):
         if self.kind not in DECAY_KINDS:
             raise ValueError(f"kind must be one of {DECAY_KINDS}")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:  # NaN fails too
             raise ValueError("sigma must be positive")
 
     def penalty(self, iou):
@@ -76,7 +76,7 @@ class SuppressionConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if not 0.0 <= self.iou_threshold <= 1.0:
             raise ValueError("iou_threshold must be in [0, 1]")
-        if self.score_threshold < 0.0:
+        if not self.score_threshold >= 0.0:  # NaN fails too
             raise ValueError("score_threshold must be non-negative")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be positive when given")

@@ -11,6 +11,7 @@ from maskops import (
     run_verification,
     score_checksum,
 )
+from maskops import dynahead
 from maskops.bench import VerificationError, seeded_pipeline_inputs
 
 SMALL = SceneSpec(num_instances=6, num_duplicates_per_instance=2, seed=2)
@@ -66,9 +67,16 @@ def test_score_checksum_sensitivity():
 def test_run_verification_all_pass():
     checks = run_verification(seed=0)
     assert [c.name for c in checks] == list(bench.CHECKS)
-    assert len(checks) == 10
+    assert len(checks) == 11
     for c in checks:
         assert c.passed, f"{c.name}: {c.detail}"
+
+
+def test_mask_logit_cutoff_check_catches_a_plain_zero(monkeypatch):
+    # x >= 0 differs from sigmoid(x) >= 0.5 on the logits in [cutoff, 0).
+    assert bench.CHECKS["mask-logit-cutoff"](np.random.default_rng(0)).passed
+    monkeypatch.setattr(dynahead, "_MASK_LOGIT_CUTOFF", 0.0)
+    assert not bench.CHECKS["mask-logit-cutoff"](np.random.default_rng(0)).passed
 
 
 def test_cross_check_guards_bench(monkeypatch):

@@ -147,3 +147,11 @@ def test_bad_flag_value_exits_2(tmp_path, capsys):
     assert code == 2
     assert "error:" in err
 
+
+@pytest.mark.parametrize("flag", ["--sigma", "--score-threshold"])
+def test_nan_flag_value_exits_2(tmp_path, capsys, flag):
+    # NaN fails every comparison, so it must fail the range checks too.
+    path = gen_scene_file(tmp_path, capsys)
+    code, _, err = run_cli(["suppress", str(path), flag, "nan"], capsys)
+    assert code == 2
+    assert "error:" in err

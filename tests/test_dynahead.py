@@ -9,7 +9,6 @@ from maskops import (
     FusionWeights,
     KernelGrid,
     PyramidLevels,
-    SoftMask,
     SuppressionConfig,
     assemble_masks,
     bilinear_upsample_2x,
@@ -24,8 +23,15 @@ from maskops import (
     mask_to_box,
     pairwise_iou_matrix,
 )
-from maskops.dynahead import NormConvStage, _conv3x3, _group_norm, _upsample2x
-from maskops.reference import conv1x1_loops, conv3x3_loops
+from maskops.dynahead import (
+    _MASK_LOGIT_CUTOFF,
+    NormConvStage,
+    _conv3x3,
+    _group_norm,
+    _upsample2x,
+    mask_foreground,
+)
+from maskops.reference import conv1x1_loops, conv3x3_loops, sigmoid_foreground
 
 
 @pytest.mark.parametrize("i,j,s,k", [(2, 3, 5, 13), (0, 0, 4, 0), (4, 4, 5, 24)])
@@ -142,6 +148,25 @@ def test_group_norm_affine_and_divisibility():
     for bad in (3, 0, -2):
         with pytest.raises(ValueError):
             group_norm(x, bad)
+
+
+@pytest.mark.parametrize(
+    "scale,shift",
+    [
+        (np.array([2.0]), None),  # would broadcast over the 4 channels
+        (None, np.array([[[1.0]]])),  # would broadcast to (4, 4, 4)
+        (np.ones(3), None),
+        (None, np.ones((4, 1))),
+        (np.ones(4), np.ones(5)),
+    ],
+)
+def test_affine_params_must_be_one_per_channel(scale, shift):
+    x = FeatureMap(np.random.default_rng(0).normal(size=(4, 4, 4)))
+    with pytest.raises(ValueError, match="affine"):
+        group_norm(x, 2, scale=scale, shift=shift)
+    full = lambda v: np.ones(4) if v is None else v
+    with pytest.raises(ValueError, match="affine"):
+        NormConvStage(np.zeros((3, 4)), full(scale), full(shift))
 
 
 def seeded_pyramid(seed=0, levels=4, channels=4, out_channels=8):
@@ -320,21 +345,26 @@ def test_kernel_grid_dimension_law():
     assert KernelGrid(np.zeros((2, 2, 36)), 4).kernel_size == 3
 
 
-def test_soft_mask_invariants():
-    with pytest.raises(ValueError):
-        SoftMask(np.array([[0.5, 1.0]]))
-    with pytest.raises(ValueError):
-        SoftMask(np.array([[0.0, 0.5]]))
-    sm = SoftMask.from_logits(np.array([[-800.0, 0.0, 800.0]]))
-    assert np.all(sm.values > 0.0) and np.all(sm.values < 1.0)
-    assert sm.values[0, 1] == 0.5
+def test_mask_logit_cutoff_tie_is_foreground():
+    c = _MASK_LOGIT_CUTOFF
+    assert c < 0.0 and np.exp(c) == 1.0
+    below = np.nextafter(c, -np.inf)
+    assert np.exp(below) < 1.0
+    x = np.array([c, 0.0, -0.0, below])
+    assert mask_foreground(x).tolist() == [True, True, True, False]
+    assert sigmoid_foreground(x).tolist() == [True, True, True, False]
 
 
-def test_binarize_tie_is_foreground():
-    sm = SoftMask(np.array([[0.5, 0.49999], [0.50001, 0.1]]))
-    assert np.array_equal(
-        sm.binarize().to_array(), [[True, False], [True, False]]
-    )
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=64),
+    st.floats(allow_nan=False),
+)
+def test_mask_foreground_matches_reference_near_cutoff(offsets, far):
+    bits = np.array([_MASK_LOGIT_CUTOFF]).view(np.int64)[0]
+    near = (bits + np.array(offsets, dtype=np.int64)).view(np.float64)
+    x = np.append(near, far)
+    assert np.array_equal(mask_foreground(x), sigmoid_foreground(x))
 
 
 def grid_inputs(kvecs, scores, s=2, channels=2):
@@ -398,6 +428,17 @@ def test_assemble_masks_shape_mismatch():
     ker2 = KernelGrid(np.zeros((2, 2, 4)), 4)
     with pytest.raises(ValueError):
         assemble_masks(cat, ker2, FeatureMap(np.ones((3, 3, 2))))
+
+
+def test_assemble_masks_rejects_nan_and_accepts_inf_logits():
+    # 10 * (1e308 - 1e308) overflows to inf - inf = NaN inside the 3x3 conv.
+    cat = CategoryGrid(np.full((1, 1, 1), 0.9))
+    feat = FeatureMap(np.array([[[1e308], [-1e308]]]))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN"):
+        assemble_masks(cat, KernelGrid(np.full((1, 1, 9), 10.0), 1), feat)
+    with np.errstate(all="ignore"):  # the 1x1 conv gives [inf, -inf]
+        out = assemble_masks(cat, KernelGrid(np.full((1, 1, 1), 10.0), 1), feat)
+    assert out[0].mask.to_array().tolist() == [[True, False]]
 
 
 def test_translation_consistency():

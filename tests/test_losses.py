@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskops import LossConfig, SoftMask, dice_loss, focal_loss, total_loss
+from maskops import LossConfig, dice_loss, focal_loss, total_loss
 from maskops.masks import BinaryMask
 from maskops.reference import finite_difference_grad
 
@@ -31,9 +31,8 @@ def test_dice_vanishing_masks_stay_finite():
 
 
 def test_dice_accepts_spec_types():
-    sm = SoftMask(np.full((2, 2), 0.75))
     bm = BinaryMask.from_array(np.ones((2, 2)))
-    loss, grad = dice_loss(sm, bm)
+    loss, grad = dice_loss(np.full((2, 2), 0.75), bm)
     assert 0.0 <= loss <= 1.0 + 1e-9
     assert grad.shape == (2, 2)
 
@@ -59,6 +58,14 @@ def test_dice_rejects_values_outside_open_interval(bad):
     pred[1, 0] = bad
     with pytest.raises(ValueError):
         dice_loss(pred, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 7.0, 0.5, -1.0])
+def test_dice_rejects_non_binary_targets(bad):
+    target = np.zeros((2, 2))
+    target[0, 0] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        dice_loss(np.full((2, 2), 0.5), target)
 
 
 def test_dice_gradient_matches_finite_differences():

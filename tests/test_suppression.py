@@ -54,8 +54,9 @@ def test_decayfn_validation():
     for kind in ("gaussian", "cubic"):
         with pytest.raises(ValueError):
             DecayFn(kind)
-    with pytest.raises(ValueError):
-        DecayFn("gauss", sigma=-1.0)
+    for sigma in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError):
+            DecayFn("gauss", sigma=sigma)
 
 
 def test_matrix_nms_single_mask():
@@ -322,5 +323,8 @@ def test_config_validation():
         SuppressionConfig(iou_threshold=1.5)
     with pytest.raises(ValueError):
         SuppressionConfig(top_k=0)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            SuppressionConfig(score_threshold=bad)
     with pytest.raises(ValueError):
         run_method("other", scored(0.9), upper(1, {}), SuppressionConfig())
