@@ -6,7 +6,6 @@ from .masks import (
     Box,
     IoUMatrix,
     RleMask,
-    box_iou,
     box_to_mask,
     mask_iou,
     mask_to_box,
@@ -56,7 +55,7 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryMask", "Box", "IoUMatrix", "RleMask", "box_iou", "box_to_mask",
+    "BinaryMask", "Box", "IoUMatrix", "RleMask", "box_to_mask",
     "mask_iou", "mask_to_box", "pairwise_iou_matrix",
     "rle_decode", "rle_encode",
     "DecayFn", "ScoredMask", "SuppressionConfig", "SuppressionResult",

@@ -18,7 +18,7 @@ class LossConfig:
     mask_weight: float = 3.0
 
     def __post_init__(self):
-        if self.mask_weight < 0.0:
+        if not self.mask_weight >= 0.0:  # NaN fails too
             raise ValueError("mask_weight must be non-negative")
 
 
@@ -72,10 +72,15 @@ def focal_loss(
     gamma: float = 2.0,
 ) -> Tuple[float, float]:
     """-alpha_t (1 - p_t)^gamma log(p_t) with its gradient w.r.t. pred_prob,
-    where p_t = pred_prob when target=1 and 1 - pred_prob otherwise."""
+    where p_t = pred_prob when target=1 and 1 - pred_prob otherwise.
+    alpha must lie in [0, 1] and gamma must be non-negative."""
     pred_prob = float(probabilities(pred_prob, 0))
     if target not in (0, 1):
         raise ValueError("target must be 0 or 1")
+    if not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise ValueError("alpha must be in [0, 1]")
+    if not gamma >= 0.0:
+        raise ValueError("gamma must be non-negative")
     p_t = pred_prob if target == 1 else 1.0 - pred_prob
     a_t = alpha if target == 1 else 1.0 - alpha
     one_minus = 1.0 - p_t

@@ -160,7 +160,13 @@ class IoUMatrix:
 
 
 def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
-    """All-pairs IoU over a mask list, upper triangle only."""
+    """All-pairs IoU over a mask list, upper triangle only.
+
+    Row i popcounts only mask i's word span: the words from its first to
+    its last non-zero word. Mask i has no bit outside that span, so every
+    intersection there is zero and the cropped popcount is exact. An empty
+    mask's span is the whole row; its intersections are zero either way.
+    """
     n = len(masks)
     out = np.zeros((n, n), dtype=np.float64)
     if n > 1:
@@ -169,8 +175,12 @@ def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
             _check_same_dims(first, m)
         words = np.stack([m.words for m in masks])
         areas = np.array([m.area for m in masks], dtype=np.int64)
+        nz = words != 0
+        lo = nz.argmax(axis=1)
+        hi = words.shape[1] - nz[:, ::-1].argmax(axis=1)
         for i in range(n - 1):
-            inter = np.bitwise_count(words[i] & words[i + 1 :]).sum(
+            span = slice(lo[i], hi[i])
+            inter = np.bitwise_count(words[i, span] & words[i + 1 :, span]).sum(
                 axis=1, dtype=np.int64
             )
             union = areas[i] + areas[i + 1 :] - inter
@@ -193,18 +203,6 @@ class Box:
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError("box max must be >= min on both axes")
 
-    @property
-    def width(self) -> int:
-        return self.x_max - self.x_min + 1
-
-    @property
-    def height(self) -> int:
-        return self.y_max - self.y_min + 1
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
-
 
 def mask_to_box(mask: BinaryMask) -> Box:
     """Tight bounding box of the foreground; raises on an empty mask."""
@@ -224,11 +222,3 @@ def box_to_mask(box: Box, height: int, width: int) -> BinaryMask:
     arr[box.y_min : box.y_max + 1, box.x_min : box.x_max + 1] = True
     return BinaryMask.from_array(arr)
 
-
-def box_iou(a: Box, b: Box) -> float:
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min) + 1
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min) + 1
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)

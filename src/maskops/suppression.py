@@ -78,8 +78,9 @@ class SuppressionConfig:
             raise ValueError("iou_threshold must be in [0, 1]")
         if not self.score_threshold >= 0.0:  # NaN fails too
             raise ValueError("score_threshold must be non-negative")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be positive when given")
+        # bool is a subclass of int, so compare exact types.
+        if self.top_k is not None and not (type(self.top_k) is int and self.top_k >= 1):
+            raise ValueError("top_k must be None or an int >= 1")
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,15 @@ def test_focal_domain_errors():
             focal_loss(bad, 1)
     with pytest.raises(ValueError):
         focal_loss(0.5, 2)
+    for bad in (-0.1, 1.1, np.nan, -np.inf, np.inf):
+        with pytest.raises(ValueError):
+            focal_loss(0.5, 1, alpha=bad)
+    for bad in (-0.1, -1.0, np.nan, -np.inf):
+        with pytest.raises(ValueError):
+            focal_loss(0.5, 0, gamma=bad)
+    # The ends of the domain stay accepted.
+    for alpha in (0.0, 1.0):
+        focal_loss(0.5, 1, alpha=alpha, gamma=0.0)
 
 
 def test_focal_monotone_decreasing_in_p_t():
@@ -147,5 +156,7 @@ def test_total_loss_reduction():
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(mask_weight=-1.0)
+    for bad in (-1.0, np.nan, -np.inf):
+        with pytest.raises(ValueError):
+            LossConfig(mask_weight=bad)
+    assert LossConfig(mask_weight=0.0).mask_weight == 0.0

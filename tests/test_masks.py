@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maskops import (
     BinaryMask,
     Box,
     RleMask,
-    box_iou,
     box_to_mask,
     mask_iou,
     mask_to_box,
@@ -153,6 +154,52 @@ def test_pairwise_matches_direct():
             assert got.values[i, j] == mask_iou(masks[i], masks[j])
 
 
+# Dims whose bit count is not a multiple of 64 (1x1, 5x7, 3x130), and wide
+# ones (8x256: 32 words) where a mask's word span is narrower than the stack.
+_iou_dims = st.sampled_from([(1, 1), (5, 7), (3, 130), (8, 256), (1, 64)]) | (
+    st.tuples(st.integers(1, 24), st.integers(1, 24))
+)
+
+
+@st.composite
+def _span_mask(draw, h, w):
+    """An h x w mask: empty, full, one pixel in the first or last word, one
+    row-major run of pixels (runs far apart have disjoint spans), or random."""
+    n = h * w
+    last_word = (n - 1) // 64 * 64
+    flat = np.zeros(n, dtype=bool)
+    kind = draw(st.sampled_from(["empty", "full", "first", "last", "run", "random"]))
+    if kind == "full":
+        flat[:] = True
+    elif kind == "first":
+        flat[draw(st.integers(0, min(63, n - 1)))] = True
+    elif kind == "last":
+        flat[draw(st.integers(last_word, n - 1))] = True
+    elif kind == "run":
+        start = draw(st.integers(0, n - 1))
+        flat[start : start + draw(st.integers(1, n - start))] = True
+    elif kind == "random":
+        flat = draw(arrays(bool, n))
+    return BinaryMask.from_array(flat.reshape(h, w))
+
+
+@st.composite
+def _iou_stacks(draw):
+    h, w = draw(_iou_dims)
+    return draw(st.lists(_span_mask(h, w), max_size=12))
+
+
+@settings(deadline=None)
+@given(_iou_stacks())
+def test_pairwise_span_crop_matches_mask_iou(masks):
+    got = pairwise_iou_matrix(masks).values
+    assert got.shape == (len(masks), len(masks))
+    for i in range(len(masks)):
+        assert np.all(got[i, : i + 1] == 0.0)
+        for j in range(i + 1, len(masks)):
+            assert got[i, j] == mask_iou(masks[i], masks[j])
+
+
 def test_pairwise_empty_and_single():
     assert pairwise_iou_matrix([]).n == 0
     assert pairwise_iou_matrix([BinaryMask.from_array([[1]])]).n == 1
@@ -179,13 +226,6 @@ def test_mask_to_box_full():
 def test_mask_to_box_empty_raises():
     with pytest.raises(ValueError):
         mask_to_box(BinaryMask.from_array(np.zeros((2, 2))))
-
-
-def test_box_iou_examples():
-    a = Box(0, 0, 1, 1)
-    assert box_iou(a, a) == 1.0
-    assert box_iou(a, Box(5, 5, 6, 6)) == 0.0
-    assert box_iou(a, Box(1, 1, 2, 2)) == pytest.approx(1 / 7)
 
 
 def test_box_paint_round_trip():

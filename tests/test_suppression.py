@@ -321,8 +321,12 @@ def test_config_validation():
         SuppressionConfig(method="other")
     with pytest.raises(ValueError):
         SuppressionConfig(iou_threshold=1.5)
-    with pytest.raises(ValueError):
-        SuppressionConfig(top_k=0)
+    # top_k is None or an exact int >= 1: no bool, float, NaN or NumPy int.
+    for bad in (0, -1, True, False, 2.0, np.nan, np.int64(5)):
+        with pytest.raises(ValueError):
+            SuppressionConfig(top_k=bad)
+    assert SuppressionConfig(top_k=1).top_k == 1
+    assert SuppressionConfig(top_k=None).top_k is None
     for bad in (-0.1, np.nan):
         with pytest.raises(ValueError):
             SuppressionConfig(score_threshold=bad)
