@@ -141,7 +141,7 @@ def _cmd_bench(args) -> int:
     else:
         scene, _ = _scene_from_args(args)
     methods = [args.method] if args.method else list(METHODS)
-    config = _config_from_args(args, method=methods[0])
+    config = _config_from_args(args)
     reports = bench.run_bench(
         scene, methods=methods, repeats=args.repeats, config=config
     )

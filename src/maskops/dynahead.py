@@ -3,8 +3,9 @@ feature map fused from a resolution pyramid, plus the inference pipeline."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -91,10 +92,6 @@ class CategoryGrid:
     def grid_size(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        return self.data.shape[2]
-
 
 def _affine(values, channels: int) -> np.ndarray:
     """A group-norm scale or shift: one float64 per channel, shape (channels,)."""
@@ -116,8 +113,6 @@ class NormConvStage:
         k = np.asarray(self.kernel, dtype=np.float64)
         if k.ndim not in (2, 4):
             raise ValueError("kernel must be (cin, cout) or (3, 3, cin, cout)")
-        if k.ndim == 4 and k.shape[:2] != (3, 3):
-            raise ValueError("spatial kernel must be 3x3")
         scale = _affine(self.gn_scale, k.shape[-1])
         shift = _affine(self.gn_shift, k.shape[-1])
         for arr in (k, scale, shift):
@@ -127,49 +122,58 @@ class NormConvStage:
         object.__setattr__(self, "gn_shift", shift)
 
 
+GN_GROUPS = 32
+"""fuse_pyramid's group norms split C channels into min(GN_GROUPS, C) groups."""
+
+GN_EPS = 1e-5
+"""Added to each group's variance before the square root in group norm."""
+
+
 def _check_groups(groups: int, *channel_counts: int):
     """Group norm splits channels into `groups` equal groups."""
-    if groups < 1 or any(c % groups for c in channel_counts):
-        raise ValueError(f"groups={groups} must be >= 1 and divide {channel_counts}")
+    if not (type(groups) is int and groups >= 1):
+        raise ValueError(f"groups must be an int >= 1, got {groups!r}")
+    if any(c % groups for c in channel_counts):
+        raise ValueError(f"groups={groups} must divide {channel_counts}")
+
+
+def _level_shapes(num_levels: int, c: int) -> list:
+    """The kernel shape of each level stage: level i has i (3, 3, C, C) convs,
+    except that the deepest level's first conv also reads the two coordinate
+    channels, so it is (3, 3, C + 2, C)."""
+    deepest = num_levels - 1
+    return [
+        [(3, 3, c + 2 if (li, si) == (deepest, 0) else c, c) for si in range(li)]
+        for li in range(num_levels)
+    ]
 
 
 @dataclass(frozen=True)
 class FusionWeights:
     """Fixed parameters for fuse_pyramid, validated as one chain of C channels.
 
-    stages[level] holds that level's (3x3 conv, group norm) stages — level i
-    has i of them, each with a (3, 3, C, C) kernel, except that the deepest
-    level's first conv consumes 2 extra coordinate channels: (3, 3, C + 2, C).
-    `output` is the final 1x1 conv + group norm, a (C, E) kernel. `groups`
-    divides both C and E.
+    stages[level] holds that level's (3x3 conv, group norm) stages, with the
+    kernel shapes given by `_level_shapes`. `output` is the final 1x1 conv +
+    group norm, a (C, E) kernel. Every group norm uses `groups` groups, which
+    must divide both C and E.
     """
 
     stages: tuple
     output: NormConvStage
-    groups: int
-    eps: float = 1e-5
 
     def __post_init__(self):
         stages = tuple(tuple(level) for level in self.stages)
         object.__setattr__(self, "stages", stages)
         if not stages:
             raise ValueError("need at least one level")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
         if self.output.kernel.ndim != 2:
             raise ValueError("output kernel must be (C, E)")
         c, e = self.output.kernel.shape
         _check_groups(self.groups, c, e)
-        deepest = len(stages) - 1
-        for li, level in enumerate(stages):
-            if len(level) != li:
-                raise ValueError(f"level {li} must have exactly {li} stages")
-            for si, st in enumerate(level):
-                cin = c + 2 if (li == deepest and si == 0) else c
-                if st.kernel.shape != (3, 3, cin, c):
-                    raise ValueError(
-                        f"level {li} stage {si} kernel must be (3, 3, {cin}, {c})"
-                    )
+        for li, (level, want) in enumerate(zip(stages, _level_shapes(len(stages), c))):
+            got = [st.kernel.shape for st in level]
+            if got != want:
+                raise ValueError(f"level {li} kernels must be {want}, got {got}")
 
     @property
     def num_levels(self) -> int:
@@ -183,36 +187,30 @@ class FusionWeights:
     def out_channels(self) -> int:
         return self.output.kernel.shape[1]
 
+    @property
+    def groups(self) -> int:
+        return min(GN_GROUPS, self.channels)
+
     @classmethod
     def seeded(
-        cls,
-        num_levels: int,
-        channels: int,
-        out_channels: int,
-        seed: int = 0,
-        groups: Optional[int] = None,
+        cls, num_levels: int, channels: int, out_channels: int, seed: int = 0
     ) -> "FusionWeights":
         """Deterministic pseudo-random weights (stand-in for trained ones)."""
-        groups = min(32, channels) if groups is None else groups
         rng = np.random.default_rng(seed)
 
-        def stage(cin: int, cout: int, spatial: bool) -> NormConvStage:
-            shape = (3, 3, cin, cout) if spatial else (cin, cout)
-            fan_in = 9 * cin if spatial else cin
+        def stage(shape: tuple) -> NormConvStage:
+            fan_in = math.prod(shape[:-1])
             return NormConvStage(
                 rng.normal(0.0, 1.0 / np.sqrt(fan_in), shape),
-                1.0 + 0.1 * rng.normal(size=cout),
-                0.1 * rng.normal(size=cout),
+                1.0 + 0.1 * rng.normal(size=shape[-1]),
+                0.1 * rng.normal(size=shape[-1]),
             )
 
-        stages = []
-        for li in range(num_levels):
-            level = []
-            for si in range(li):
-                cin = channels + 2 if (li == num_levels - 1 and si == 0) else channels
-                level.append(stage(cin, channels, True))
-            stages.append(tuple(level))
-        return cls(tuple(stages), stage(channels, out_channels, False), groups)
+        stages = tuple(
+            tuple(stage(shape) for shape in level)
+            for level in _level_shapes(num_levels, channels)
+        )
+        return cls(stages, stage((channels, out_channels)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,17 +319,11 @@ def _upsample2x(x: np.ndarray) -> np.ndarray:
     return _interp_axis(_interp_axis(x, 0), 1)
 
 
-def group_norm(
-    feature: FeatureMap,
-    groups: int,
-    epsilon: float = 1e-5,
-    scale=None,
-    shift=None,
-) -> FeatureMap:
+def group_norm(feature: FeatureMap, groups: int, scale=None, shift=None) -> FeatureMap:
     """Normalize each channel group to mean 0 / variance 1 over
     (spatial x group-channels), then apply the affine scale and shift."""
     _check_groups(groups, feature.channels)
-    out = _group_norm(feature.data, groups, epsilon)
+    out = _group_norm(feature.data, groups)
     if scale is not None:
         out = out * _affine(scale, feature.channels)
     if shift is not None:
@@ -339,21 +331,21 @@ def group_norm(
     return FeatureMap(out)
 
 
-def _group_norm(x: np.ndarray, groups: int, eps: float) -> np.ndarray:
+def _group_norm(x: np.ndarray, groups: int) -> np.ndarray:
     h, w, c = x.shape
     g = x.reshape(h, w, groups, c // groups)
     mu = g.mean(axis=(0, 1, 3), keepdims=True)
     var = g.var(axis=(0, 1, 3), keepdims=True)
-    return ((g - mu) / np.sqrt(var + eps)).reshape(h, w, c)
+    return ((g - mu) / np.sqrt(var + GN_EPS)).reshape(h, w, c)
 
 
-def _norm_conv(x: np.ndarray, st: NormConvStage, groups: int, eps: float) -> np.ndarray:
+def _norm_conv(x: np.ndarray, st: NormConvStage, groups: int) -> np.ndarray:
     # FusionWeights and PyramidLevels have checked every shape on the way here.
     if st.kernel.ndim == 4:
         x = _conv3x3(x, st.kernel)
     else:
         x = x @ st.kernel
-    return _group_norm(x, groups, eps) * st.gn_scale + st.gn_shift
+    return _group_norm(x, groups) * st.gn_scale + st.gn_shift
 
 
 def fuse_pyramid(pyramid: PyramidLevels) -> FeatureMap:
@@ -373,10 +365,10 @@ def fuse_pyramid(pyramid: PyramidLevels) -> FeatureMap:
             coords = coord_channels(level.height, level.width)
             x = np.concatenate([x, coords.data], axis=2)
         for st in w.stages[li]:
-            x = np.maximum(_norm_conv(x, st, w.groups, w.eps), 0.0)
+            x = np.maximum(_norm_conv(x, st, w.groups), 0.0)
             x = _upsample2x(x)
         acc = x if acc is None else acc + x
-    out = np.maximum(_norm_conv(acc, w.output, w.groups, w.eps), 0.0)
+    out = np.maximum(_norm_conv(acc, w.output, w.groups), 0.0)
     return FeatureMap(out)
 
 

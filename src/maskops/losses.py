@@ -48,17 +48,21 @@ def _target_values(target) -> np.ndarray:
     return arr
 
 
-def dice_loss(pred, target, epsilon: float = 1e-6) -> Tuple[float, np.ndarray]:
+DICE_EPSILON = 1e-6
+"""Added to the dice denominator so that it stays positive when both masks are empty."""
+
+
+def dice_loss(pred, target) -> Tuple[float, np.ndarray]:
     """1 - soft dice coefficient, with the analytic gradient w.r.t. pred.
 
-    D = 2 sum(p q) / (sum(p^2) + sum(q^2) + eps); returns (1 - D, dL/dp).
+    D = 2 sum(p q) / (sum(p^2) + sum(q^2) + DICE_EPSILON); returns (1 - D, dL/dp).
     """
     p = probabilities(pred, 2)
     q = _target_values(target)
     if p.shape != q.shape:
         raise ValueError("pred and target must share dimensions")
     inter = float((p * q).sum())
-    denom = float((p * p).sum() + (q * q).sum()) + epsilon
+    denom = float((p * p).sum() + (q * q).sum()) + DICE_EPSILON
     dice = 2.0 * inter / denom
     # d(1-D)/dp_i = (4 p_i inter - 2 q_i denom) / denom^2
     grad = (4.0 * inter * p - 2.0 * denom * q) / (denom * denom)

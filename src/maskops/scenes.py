@@ -37,8 +37,8 @@ class SceneSpec:
             raise ValueError("counts must be non-negative")
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}")
-        if self.score_noise < 0.0:
-            raise ValueError("score_noise must be non-negative")
+        if not self.score_noise >= 0.0:  # NaN fails too
+            raise ValueError(f"score_noise must be >= 0, got {self.score_noise}")
 
     @property
     def total_masks(self) -> int:

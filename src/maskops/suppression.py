@@ -31,8 +31,8 @@ class ScoredMask:
     def __post_init__(self):
         if not 0.0 < self.score <= 1.0:
             raise ValueError("score must be in (0, 1]")
-        if self.category < 0:
-            raise ValueError("category must be non-negative")
+        if not (type(self.category) is int and self.category >= 0):
+            raise ValueError(f"category must be an int >= 0, got {self.category!r}")
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,12 @@ def test_bad_flag_value_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_nan_score_noise_exits_2(capsys):
+    code, _, err = run_cli(["gen", "--instances", "3", "--score-noise", "nan"], capsys)
+    assert code == 2
+    assert "score_noise" in err
+
+
 @pytest.mark.parametrize("flag", ["--sigma", "--score-threshold"])
 def test_nan_flag_value_exits_2(tmp_path, capsys, flag):
     # NaN fails every comparison, so it must fail the range checks too.

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,8 @@ from maskops import (
 )
 from maskops.dynahead import (
     _MASK_LOGIT_CUTOFF,
+    GN_EPS,
+    GN_GROUPS,
     NormConvStage,
     _conv3x3,
     _group_norm,
@@ -140,12 +144,19 @@ def test_group_norm_statistics():
     assert np.abs(g.var(axis=(0, 1, 3)) - 1.0).max() < 1e-4
 
 
+def test_group_norm_epsilon():
+    # Each group holds only -1 and +1, so its variance is exactly 1.
+    x = np.tile([[[-1.0, 1.0, 1.0, -1.0]]], (1, 2, 1))
+    out = group_norm(FeatureMap(x), 2).data
+    assert np.array_equal(out, x / np.sqrt(1.0 + GN_EPS))
+
+
 def test_group_norm_affine_and_divisibility():
     x = FeatureMap(np.random.default_rng(0).normal(size=(4, 4, 4)))
     out = group_norm(x, 2, scale=np.full(4, 2.0), shift=np.full(4, 1.0)).data
     base = group_norm(x, 2).data
     assert np.allclose(out, base * 2.0 + 1.0)
-    for bad in (3, 0, -2):
+    for bad in (3, 0, -2, 2.0, True):
         with pytest.raises(ValueError):
             group_norm(x, bad)
 
@@ -171,7 +182,7 @@ def test_affine_params_must_be_one_per_channel(scale, shift):
 
 def seeded_pyramid(seed=0, levels=4, channels=4, out_channels=8):
     rng = np.random.default_rng(seed)
-    weights = FusionWeights.seeded(levels, channels, out_channels, seed=seed, groups=2)
+    weights = FusionWeights.seeded(levels, channels, out_channels, seed=seed)
     maps = tuple(
         FeatureMap(rng.normal(size=(16 >> i, 24 >> i, channels)))
         for i in range(levels)
@@ -191,12 +202,12 @@ def test_fuse_pyramid_matches_primitive_composition():
             )
         for st in w.stages[li]:
             x = _conv3x3(x, st.kernel)
-            x = _group_norm(x, w.groups, w.eps) * st.gn_scale + st.gn_shift
+            x = _group_norm(x, w.groups) * st.gn_scale + st.gn_shift
             x = np.maximum(x, 0.0)
             x = _upsample2x(x)
         acc = x if acc is None else acc + x
     want = np.maximum(
-        _group_norm(acc @ w.output.kernel, w.groups, w.eps) * w.output.gn_scale
+        _group_norm(acc @ w.output.kernel, w.groups) * w.output.gn_scale
         + w.output.gn_shift,
         0.0,
     )
@@ -211,7 +222,8 @@ def test_fuse_pyramid_zero_weights_zero_input():
         np.zeros((3, 3, cin, c)), np.ones(c), np.zeros(c)
     )
     stages = ((), (zero_stage(c + 2),))
-    weights = FusionWeights(stages, NormConvStage(np.zeros((c, c)), np.ones(c), np.zeros(c)), 2)
+    output = NormConvStage(np.zeros((c, c)), np.ones(c), np.zeros(c))
+    weights = FusionWeights(stages, output)
     pyr = PyramidLevels(
         (FeatureMap(np.zeros((8, 8, c))), FeatureMap(np.zeros((4, 4, c)))), weights
     )
@@ -221,12 +233,10 @@ def test_fuse_pyramid_zero_weights_zero_input():
 def test_fuse_pyramid_single_level():
     rng = np.random.default_rng(12)
     c = 4
-    weights = FusionWeights(
-        ((),), NormConvStage(np.eye(c), np.ones(c), np.zeros(c)), 2
-    )
+    weights = FusionWeights(((),), NormConvStage(np.eye(c), np.ones(c), np.zeros(c)))
     x = rng.normal(size=(8, 8, c))
     out = fuse_pyramid(PyramidLevels((FeatureMap(x),), weights))
-    want = np.maximum(_group_norm(x, 2, 1e-5), 0.0)
+    want = np.maximum(_group_norm(x, c), 0.0)
     assert np.allclose(out.data, want)
 
 
@@ -234,7 +244,7 @@ def _stage(*shape):
     return NormConvStage(np.zeros(shape), np.ones(shape[-1]), np.zeros(shape[-1]))
 
 
-def _chain(c=4, e=8, groups=2, level=None, output=None):
+def _chain(c=4, e=8, level=None, output=None):
     """Three-level FusionWeights of C channels. `level` = (li, si, shape)
     replaces one stage's kernel shape and `output` the output kernel's."""
     shapes = [[], [(3, 3, c, c)], [(3, 3, c + 2, c), (3, 3, c, c)]]
@@ -242,7 +252,7 @@ def _chain(c=4, e=8, groups=2, level=None, output=None):
         li, si, shape = level
         shapes[li][si] = shape
     stages = tuple(tuple(_stage(*shape) for shape in lvl) for lvl in shapes)
-    return FusionWeights(stages, _stage(*(output or (c, e))), groups)
+    return FusionWeights(stages, _stage(*(output or (c, e))))
 
 
 def test_fusion_weights_valid_chain_fuses():
@@ -250,6 +260,12 @@ def test_fusion_weights_valid_chain_fuses():
     assert (w.channels, w.out_channels) == (4, 8)
     maps = tuple(FeatureMap(np.ones((8 >> i, 8 >> i, 4))) for i in range(3))
     assert fuse_pyramid(PyramidLevels(maps, w)).data.shape == (8, 8, 8)
+
+
+def test_fusion_weights_hold_only_weights():
+    assert [f.name for f in dataclasses.fields(FusionWeights)] == ["stages", "output"]
+    assert FusionWeights.seeded(1, 64, 96).groups == GN_GROUPS == 32
+    assert FusionWeights.seeded(2, 8, 16).groups == 8
 
 
 @pytest.mark.parametrize(
@@ -261,10 +277,11 @@ def test_fusion_weights_valid_chain_fuses():
         {"level": (2, 1, (3, 3, 4, 6))},    # output other than C, into a conv
         {"level": (1, 0, (3, 3, 4, 6))},    # output other than C, into the sum
         {"output": (3, 3, 4, 8)},           # spatial output kernel
-        {"groups": 0},
-        {"groups": 3},                      # divides neither C nor E
-        {"c": 4, "e": 6, "groups": 4},      # divides C but not E
-        {"c": 6, "e": 4, "groups": 4},      # divides E but not C
+        {"c": 48, "e": 48},                 # 32 groups divide neither C nor E
+        {"c": 48, "e": 32},                 # 32 groups divide E but not C
+        {"c": 4, "e": 6},                   # 4 groups divide C but not E
+        {"c": 6, "e": 4},                   # 6 groups, more than E's 4 channels
+        {"level": (1, 0, (5, 5, 4, 4))},    # a 5x5 kernel in a level stage
     ],
 )
 def test_fusion_weights_reject_at_construction(kwargs):
@@ -274,11 +291,11 @@ def test_fusion_weights_reject_at_construction(kwargs):
 
 def test_seeded_fusion_weights_reject_at_construction():
     with pytest.raises(ValueError):
-        FusionWeights.seeded(2, 4, 6, groups=4)
+        FusionWeights.seeded(2, 4, 6)
     with pytest.raises(ValueError):
         FusionWeights.seeded(0, 4, 4)
     with pytest.raises(ValueError):
-        FusionWeights((), _stage(4, 4), 2)
+        FusionWeights((), _stage(4, 4))
 
 
 @st.composite
@@ -301,15 +318,14 @@ def _fusion_cases(draw):
             level.append(_stage(*shape))
         stages.append(tuple(level))
     output = _stage(*pick((pick(c, c + 1), e), (3, 3, c, e)))
-    return tuple(stages), output, draw(st.integers(0, 4))
+    return tuple(stages), output
 
 
 @settings(deadline=None, max_examples=80)
 @given(_fusion_cases())
 def test_fusion_weights_reject_or_fuse(case):
-    stages, output, groups = case
     try:
-        w = FusionWeights(stages, output, groups)
+        w = FusionWeights(*case)
     except ValueError:
         return
     top = w.num_levels - 1
@@ -323,7 +339,7 @@ def test_fusion_weights_reject_or_fuse(case):
 
 
 def test_pyramid_validation():
-    w = FusionWeights.seeded(2, 4, 4, groups=2)
+    w = FusionWeights.seeded(2, 4, 4)
     with pytest.raises(ValueError):  # not exact halving
         PyramidLevels(
             (FeatureMap(np.zeros((8, 8, 4))), FeatureMap(np.zeros((5, 4, 4)))), w

@@ -41,9 +41,8 @@ def test_dice_symmetry_on_hardened_pred():
     rng = np.random.default_rng(1)
     q = (rng.random((5, 5)) < 0.5).astype(float)
     r = (rng.random((5, 5)) < 0.5).astype(float)
-    eps = 1e-6
-    a, _ = dice_loss(np.clip(q, 1e-9, 1 - 1e-9), r, eps)
-    b, _ = dice_loss(np.clip(r, 1e-9, 1 - 1e-9), q, eps)
+    a, _ = dice_loss(np.clip(q, 1e-9, 1 - 1e-9), r)
+    b, _ = dice_loss(np.clip(r, 1e-9, 1 - 1e-9), q)
     assert a == pytest.approx(b, abs=1e-7)
 
 

@@ -68,5 +68,6 @@ def test_spec_validation():
         SceneSpec(num_instances=-1)
     with pytest.raises(ValueError):
         SceneSpec(shape="triangle")
-    with pytest.raises(ValueError):
-        SceneSpec(score_noise=-0.1)
+    for noise in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="score_noise"):
+            SceneSpec(score_noise=noise)

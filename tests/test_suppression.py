@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maskops import (
     BinaryMask,
@@ -17,7 +18,7 @@ from maskops import (
     suppress,
 )
 from maskops.reference import naive_matrix_decay
-from maskops.suppression import run_method
+from maskops.suppression import METHODS, run_method
 
 DUMMY = BinaryMask.from_array([[1]])
 
@@ -268,6 +269,36 @@ def test_suppress_matches_per_category_runs():
     assert dict(zip(combined.kept_indices, combined.updated_scores)) == merged
 
 
+@st.composite
+def _categorized_masks(draw):
+    """Up to 12 non-empty 4x4 masks in up to 4 categories, with distinct scores."""
+    n = draw(st.integers(1, 12))
+    scores = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n, unique=True))
+    masks = []
+    for score in scores:
+        bits = (draw(st.integers(1, 2**16 - 1)) >> np.arange(16)) & 1
+        mask = BinaryMask.from_array(bits.reshape(4, 4).astype(bool))
+        masks.append(ScoredMask(mask, score / 1000, draw(st.integers(0, 3))))
+    return masks
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(deadline=None, max_examples=60)
+@given(masks=_categorized_masks(), data=st.data())
+def test_suppress_invariant_to_category_group_order(method, masks, data):
+    # Move whole category groups around, keeping the order inside each group.
+    cats = data.draw(st.permutations(sorted({m.category for m in masks})))
+    old = sorted(range(len(masks)), key=lambda i: (cats.index(masks[i].category), i))
+    cfg = SuppressionConfig(method=method)
+    want = suppress(masks, cfg)
+    got = suppress([masks[i] for i in old], cfg)
+    back = [(old[i], s) for i, s in zip(got.kept_indices, got.updated_scores)]
+    assert [s for _, s in back] == list(want.updated_scores)
+    # Equal updated scores are ordered by input index, which the move changes.
+    by_score_then_index = sorted(back, key=lambda t: (-t[1], t[0]))
+    assert by_score_then_index == list(zip(want.kept_indices, want.updated_scores))
+
+
 def strip(lo, hi, score, width=30):
     arr = np.zeros((1, width), dtype=bool)
     arr[0, lo:hi] = True
@@ -303,8 +334,9 @@ def test_scored_mask_validation():
         ScoredMask(DUMMY, 0.0)
     with pytest.raises(ValueError):
         ScoredMask(DUMMY, 1.2)
-    with pytest.raises(ValueError):
-        ScoredMask(DUMMY, 0.5, -1)
+    for category in (-1, 1.5, True, np.int64(1), "1"):
+        with pytest.raises(ValueError, match="category"):
+            ScoredMask(DUMMY, 0.5, category)
 
 
 def test_suppression_result_validation():
