@@ -40,7 +40,7 @@ print("fast   kept:", fast.kept_indices, "scores:", fast.updated_scores)
 # Soft NMS: nothing is removed outright; every pass decays the survivors by a
 # penalty on their overlap with the current winner. B keeps a small score.
 decay = DecayFn("linear")
-soft = soft_nms(masks, decay, score_threshold=0.05)
+soft = soft_nms(masks, decay, score_threshold=0.05, ious=ious)
 print("soft   kept:", soft.kept_indices,
       "scores:", tuple(round(s, 4) for s in soft.updated_scores))
 

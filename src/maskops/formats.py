@@ -6,25 +6,25 @@ import json
 from typing import Sequence
 
 from .dynahead import Instance
-from .masks import RleMask, mask_to_box, rle_decode, rle_encode
+from .masks import MAX_MASK_SET_PIXELS, RleMask, mask_to_box, rle_decode, rle_encode
 from .suppression import ScoredMask, SuppressionResult
-
-# Most pixels, height * width * instances, one mask set may decode to. Run
-# lengths are non-negative and sum to height * width, so this also bounds
-# every count. 2**27 admits up to 436 masks of 640x480.
-MAX_MASK_SET_PIXELS = 1 << 27
 
 
 def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> dict:
     """Mask-set document: dimensions plus one RLE instance per mask.
 
     Explicit dimensions are only required for an empty set (e.g. a generated
-    scene with zero instances)."""
+    scene with zero instances); given for a non-empty set, they must equal
+    the masks' own."""
     if not masks:
         if height is None or width is None:
             raise ValueError("an empty mask set needs explicit dimensions")
         return {"height": int(height), "width": int(width), "instances": []}
     h, w = masks[0].mask.height, masks[0].mask.width
+    if height not in (None, h) or width not in (None, w):
+        raise ValueError(
+            f"dimensions {height}x{width} differ from the masks' {h}x{w}"
+        )
     instances = []
     for m in masks:
         if (m.mask.height, m.mask.width) != (h, w):

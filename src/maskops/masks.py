@@ -10,6 +10,12 @@ import numpy as np
 
 _WORD_BITS = 64
 
+# Most pixels, height * width * instances, one mask set may decode to. Run
+# lengths are non-negative and sum to height * width, so this also bounds
+# every count. 2**27 admits up to 436 masks of 640x480. The mask-set reader
+# and `SceneSpec` both apply it.
+MAX_MASK_SET_PIXELS = 1 << 27
+
 
 def _pack_rows(flat: np.ndarray) -> np.ndarray:
     """Pack a flat boolean array into little-endian uint64 words (zero padded)."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import BinaryMask
+from .masks import MAX_MASK_SET_PIXELS, BinaryMask
 from .suppression import ScoredMask
 
 SHAPES = ("rectangle", "ellipse")
@@ -19,7 +19,9 @@ class SceneSpec:
 
     Every base instance is replicated num_duplicates_per_instance extra times
     with jittered position, size and score, so the scene contains
-    num_instances * (1 + num_duplicates_per_instance) masks in total.
+    num_instances * (1 + num_duplicates_per_instance) masks in total, and
+    height * width * total_masks may not exceed the MAX_MASK_SET_PIXELS
+    that a mask-set file may decode to.
     """
 
     height: int = 128
@@ -37,8 +39,15 @@ class SceneSpec:
             raise ValueError("counts must be non-negative")
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}")
-        if not self.score_noise >= 0.0:  # NaN fails too
-            raise ValueError(f"score_noise must be >= 0, got {self.score_noise}")
+        if not 0.0 <= self.score_noise < float("inf"):  # NaN fails too
+            raise ValueError(
+                f"score_noise must be finite and >= 0, got {self.score_noise}"
+            )
+        if self.height * self.width * self.total_masks > MAX_MASK_SET_PIXELS:
+            raise ValueError(
+                f"{self.total_masks} masks of {self.height}x{self.width} exceed "
+                f"{MAX_MASK_SET_PIXELS} pixels"
+            )
 
     @property
     def total_masks(self) -> int:

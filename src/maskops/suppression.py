@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .masks import BinaryMask, IoUMatrix, mask_iou, pairwise_iou_matrix
+from .masks import BinaryMask, IoUMatrix, pairwise_iou_matrix
 
 METHODS = ("hard", "soft", "fast", "matrix")
 DECAY_KINDS = ("linear", "gauss")
@@ -116,16 +116,15 @@ def sort_by_score(masks: Sequence[ScoredMask]):
     return list(order)
 
 
-def _scores_sorted(masks: Sequence[ScoredMask]) -> np.ndarray:
+def _sorted_scores(masks: Sequence[ScoredMask], ious: IoUMatrix) -> np.ndarray:
+    """The input check every method shares: `ious` has one row per mask and
+    the masks are sorted by descending score. Returns the scores."""
+    if ious.n != len(masks):
+        raise ValueError("IoU matrix size does not match the mask list")
     scores = np.array([m.score for m in masks], dtype=np.float64)
     if scores.size > 1 and np.any(np.diff(scores) > 0.0):
         raise ValueError("masks must be sorted by descending score")
     return scores
-
-
-def _check_matrix(masks: Sequence[ScoredMask], ious: IoUMatrix):
-    if ious.n != len(masks):
-        raise ValueError("IoU matrix size does not match the mask list")
 
 
 def _keep_mask(updated, score_threshold: float):
@@ -148,8 +147,7 @@ def matrix_nms(
     any higher-scored mask (the chance i itself was suppressed). No recursion,
     no data-dependent loop: two matrix reductions.
     """
-    _check_matrix(masks, ious)
-    scores = _scores_sorted(masks)
+    scores = _sorted_scores(masks, ious)
     n = scores.size
     if n == 0:
         return SuppressionResult((), ())
@@ -193,8 +191,7 @@ def hard_nms(
     Sequential reference algorithm: each keep decision depends on all
     previous ones, so there is nothing to vectorize across masks.
     """
-    _check_matrix(masks, ious)
-    scores = _scores_sorted(masks)
+    scores = _sorted_scores(masks, ious)
     rows = ious.values.tolist()
     kept = []
     for j in range(len(rows)):
@@ -215,8 +212,7 @@ def fast_nms(
     Strictly more aggressive than hard_nms — a mask can be removed by a
     neighbor that was itself removed — so its kept set is always a subset.
     """
-    _check_matrix(masks, ious)
-    scores = _scores_sorted(masks)
+    scores = _sorted_scores(masks, ious)
     if scores.size == 0:
         return SuppressionResult((), ())
     keep = ious.values.max(axis=0) <= iou_threshold
@@ -228,33 +224,21 @@ def soft_nms(
     masks: Sequence[ScoredMask],
     decay: DecayFn,
     score_threshold: float = 0.05,
-    ious: Optional[IoUMatrix] = None,
+    *,
+    ious: IoUMatrix,
 ) -> SuppressionResult:
     """Sequential score decay: repeatedly select the highest-current-score
     mask, keep it, and multiply every unprocessed mask's score by the decay
     penalty of its IoU with the selection.
 
     Masks whose score falls below score_threshold are dropped and no longer
-    suppress anything. When `ious` is omitted the pairwise IoUs are computed
-    on demand from the masks. Sequential reference algorithm: every selection
+    suppress anything. Sequential reference algorithm: every selection
     depends on all decays so far.
     """
-    n = len(masks)
-    scores = _scores_sorted(masks).tolist()
-    if ious is not None:
-        _check_matrix(masks, ious)
-        sym = (ious.values + ious.values.T).tolist()
-
-        def iou_at(a: int, b: int) -> float:
-            return sym[a][b]
-
-    else:
-
-        def iou_at(a: int, b: int) -> float:
-            return mask_iou(masks[a].mask, masks[b].mask)
-
+    scores = _sorted_scores(masks, ious).tolist()
+    sym = (ious.values + ious.values.T).tolist()
     penalty = decay.penalty
-    alive = list(range(n))
+    alive = list(range(len(masks)))
     kept = []
     kept_scores = []
     while alive:
@@ -272,7 +256,7 @@ def soft_nms(
             break
         survivors = []
         for k in alive:
-            scores[k] = scores[k] * penalty(iou_at(best, k))
+            scores[k] = scores[k] * penalty(sym[best][k])
             if scores[k] >= score_threshold:
                 survivors.append(k)
         alive = survivors

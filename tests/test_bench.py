@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maskops import (
     BenchReport,
+    BinaryMask,
+    DecayFn,
+    IoUMatrix,
+    ScoredMask,
     SceneSpec,
     SuppressionResult,
     bench,
@@ -102,3 +107,33 @@ def test_seeded_pipeline_inputs_shape():
     for fine, coarse in zip(levels, levels[1:]):
         assert fine.height == 2 * coarse.height
         assert fine.width == 2 * coarse.width
+
+
+_DOT = BinaryMask.from_array([[1]])
+# A score is a coarse level (ties are likely) or any float in (0, 1]; an IoU
+# is exactly 0, exactly 1 (cmax = 1 makes the linear decay singular) or any
+# float in [0, 1].
+_SCORES = st.one_of(
+    st.integers(1, 8).map(lambda k: k / 8), st.floats(0.0, 1.0, exclude_min=True)
+)
+_IOUS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _sorted_decay_inputs(draw):
+    """Score-sorted masks and a strict upper-triangular IoU matrix, n in 0-30."""
+    n = draw(st.integers(0, 30))
+    scores = sorted(draw(st.lists(_SCORES, min_size=n, max_size=n)), reverse=True)
+    v = np.zeros((n, n))
+    v[np.triu_indices(n, 1)] = draw(
+        st.lists(_IOUS, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    )
+    return [ScoredMask(_DOT, s) for s in scores], IoUMatrix(v)
+
+
+@settings(deadline=None, max_examples=100)
+@given(inputs=_sorted_decay_inputs(), sigma=st.sampled_from([0.1, 0.5, 2.0]))
+def test_matrix_nms_matches_naive_decay(inputs, sigma):
+    masks, ious = inputs
+    for decay in (DecayFn("gauss", sigma), DecayFn("linear")):
+        assert bench._decay_error(masks, ious, decay) <= bench._DECAY_TOL

@@ -148,10 +148,22 @@ def test_bad_flag_value_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_nan_score_noise_exits_2(capsys):
-    code, _, err = run_cli(["gen", "--instances", "3", "--score-noise", "nan"], capsys)
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_nonfinite_score_noise_exits_2(capsys, noise):
+    code, _, err = run_cli(["gen", "--instances", "3", "--score-noise", noise], capsys)
     assert code == 2
     assert "score_noise" in err
+
+
+def test_oversized_scene_exits_2(capsys):
+    # Without the cap this one ellipse asked NumPy for 74.5 GiB and died
+    # with a traceback.
+    argv = ["gen", "--height", "100000", "--width", "100000", "--instances", "1",
+            "--duplicates", "0", "--shape", "ellipse"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceed" in err
 
 
 @pytest.mark.parametrize("flag", ["--sigma", "--score-threshold"])

@@ -49,6 +49,14 @@ def test_empty_mask_set_needs_dims(tmp_path):
     assert mask_set_from_dict(doc) == []
 
 
+def test_mask_set_explicit_dims_must_match():
+    masks = [ScoredMask(BinaryMask.from_array(np.ones((8, 8), bool)), 0.5)]
+    assert mask_set_to_dict(masks, height=8, width=8) == mask_set_to_dict(masks)
+    for dims in ({"height": 5, "width": 5}, {"height": 8, "width": 5}, {"height": 5}):
+        with pytest.raises(ValueError, match="differ"):
+            mask_set_to_dict(masks, **dims)
+
+
 def test_mask_set_rejects_mixed_dims():
     a = ScoredMask(BinaryMask.from_array(np.ones((2, 2), bool)), 0.5)
     b = ScoredMask(BinaryMask.from_array(np.ones((2, 3), bool)), 0.5)

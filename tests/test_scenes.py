@@ -68,6 +68,16 @@ def test_spec_validation():
         SceneSpec(num_instances=-1)
     with pytest.raises(ValueError):
         SceneSpec(shape="triangle")
-    for noise in (-0.1, float("nan")):
+    for noise in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="score_noise"):
             SceneSpec(score_noise=noise)
+
+
+def test_spec_pixel_cap():
+    # 256 x 256 x 2048 = 2**27 is the largest scene a mask-set file may hold.
+    SceneSpec(height=256, width=256, num_instances=512, num_duplicates_per_instance=3)
+    for h, w, n in ((256, 256, 2049), (100000, 100000, 1)):
+        with pytest.raises(ValueError, match="exceed"):
+            SceneSpec(height=h, width=w, num_instances=n, num_duplicates_per_instance=0)
+    # An empty scene holds no pixels, whatever its canvas.
+    assert gen_scene(SceneSpec(height=100000, width=100000, num_instances=0)) == []

@@ -135,6 +135,22 @@ def test_matrix_nms_size_mismatch():
         matrix_nms(scored(0.9, 0.8), upper(3, {}), DecayFn("gauss"))
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_checks_size_and_order(method):
+    cfg = SuppressionConfig(method=method)
+    with pytest.raises(ValueError, match="size"):
+        run_method(method, scored(0.9, 0.8), upper(3, {}), cfg)
+    with pytest.raises(ValueError, match="sorted"):
+        run_method(method, scored(0.5, 0.9), upper(2, {}), cfg)
+
+
+def test_soft_nms_requires_the_matrix():
+    with pytest.raises(TypeError):
+        soft_nms(scored(0.9), DecayFn("linear"), 0.0)
+    with pytest.raises(TypeError):
+        soft_nms(scored(0.9), DecayFn("linear"), 0.0, upper(1, {}))
+
+
 def test_matrix_nms_score_scale_equivariance():
     rng = np.random.default_rng(9)
     vals = np.triu(rng.uniform(0, 1, (20, 20)), 1)
@@ -209,20 +225,6 @@ def test_soft_nms_threshold_drops_and_stops_suppressing():
     res = soft_nms(scored(0.9, 0.8, 0.7), DecayFn("linear"), 0.2, ious=THREE)
     assert res.kept_indices == (0, 2)
     assert res.updated_scores == pytest.approx((0.9, 0.63), abs=1e-12)
-
-
-def test_soft_nms_on_demand_equals_matrix_route():
-    rng = np.random.default_rng(13)
-    masks = []
-    for s in np.sort(rng.uniform(0.1, 1.0, 25))[::-1]:
-        arr = rng.random((10, 10)) < 0.5
-        arr[0, 0] = True
-        masks.append(ScoredMask(BinaryMask.from_array(arr), float(s)))
-    ious = pairwise_iou_matrix([m.mask for m in masks])
-    for kind in ("linear", "gauss"):
-        a = soft_nms(masks, DecayFn(kind), 0.05, ious=ious)
-        b = soft_nms(masks, DecayFn(kind), 0.05)
-        assert a == b
 
 
 def test_suppress_empty():
