@@ -23,7 +23,15 @@ import numpy as np
 
 from . import dynahead, formats, reference
 from .dynahead import CategoryGrid, FusionWeights, KernelGrid, PyramidLevels
-from .dynahead import FeatureMap, dynamic_conv_1x1, dynamic_conv_3x3, inference_pipeline
+from .dynahead import (
+    FeatureMap,
+    bilinear_upsample_2x,
+    dynamic_conv_1x1,
+    dynamic_conv_3x3,
+    fuse_pyramid,
+    group_norm,
+    inference_pipeline,
+)
 from .losses import dice_loss, focal_loss
 from .masks import (
     BinaryMask,
@@ -109,12 +117,29 @@ def _fast_agrees(masks, ious, iou_threshold) -> bool:
     return fast == want and set(fast) <= set(hard)
 
 
-def _conv_pairs(feature: FeatureMap, k1, k9):
-    """(dynamic conv, loop oracle) outputs for the 1x1 and the 3x3 kernel."""
-    return (
-        (dynamic_conv_1x1(feature, k1), reference.conv1x1_loops(feature.data, k1)),
-        (dynamic_conv_3x3(feature, k9), reference.conv3x3_loops(feature.data, k9)),
-    )
+def _conv_pairs(feature: FeatureMap, k1, k9, width: int):
+    """(fast, loop oracle) outputs of `dynamic_conv_1x1` and `dynamic_conv_3x3`
+    on the kernels k1 and k9, then of the batched product `assemble_masks`
+    uses on `width` kernels of each size. Kernel r of a batch is the given
+    kernel rolled by r and scaled by r + 1, so the batch draws no random
+    numbers and integer kernels stay integer."""
+    pairs = []
+    for kernel, conv, loops in (
+        (k1, dynamic_conv_1x1, reference.conv1x1_loops),
+        (k9, dynamic_conv_3x3, reference.conv3x3_loops),
+    ):
+        batch = np.stack([np.roll(kernel, r) * (r + 1) for r in range(width)])
+        wants = [loops(feature.data, k) for k in batch]
+        pairs.append((conv(feature, kernel), wants[0]))
+        batched = dynahead._dynamic_conv(feature.data, batch)
+        pairs.append((batched, np.stack(wants, axis=2)))
+    return pairs
+
+
+def _relative_error(got, want) -> float:
+    """Largest |got - want| relative to the largest |want|."""
+    scale = max(float(np.abs(want).max()), 1e-30)
+    return float(np.abs(got - want).max()) / scale
 
 
 def _grad_error(loss, x) -> float:
@@ -344,31 +369,35 @@ def _fast_subset_hard(rng, cases):
     )
 
 
+_CONV_WIDTHS = 4
+
+
 @_check("conv-vs-loops", 30)
 def _conv_vs_loops(rng, cases):
     """`cases` float shapes within a relative 1e-6, then cases // 4 integer
-    shapes that must match bit for bit."""
+    shapes that must match bit for bit. Case i also runs the batched product
+    on 1 + i % _CONV_WIDTHS kernels of each size."""
     worst = 0.0
-    for _ in range(cases):
+    for case in range(cases):
         h, w = (int(v) for v in rng.integers(1, 13, 2))
         e = int(rng.integers(1, 9))
         feature = FeatureMap(rng.standard_normal((h, w, e)))
         k1 = rng.standard_normal(e)
         k9 = rng.standard_normal(9 * e)
-        for got, want in _conv_pairs(feature, k1, k9):
-            scale = max(float(np.abs(want).max()), 1e-30)
-            worst = max(worst, float(np.abs(got - want).max()) / scale)
+        for got, want in _conv_pairs(feature, k1, k9, 1 + case % _CONV_WIDTHS):
+            worst = max(worst, _relative_error(got, want))
     exact = True
-    for _ in range(cases // 4):
+    for case in range(cases // 4):
         h, w = (int(v) for v in rng.integers(1, 9, 2))
         e = int(rng.integers(1, 6))
         feature = FeatureMap(rng.integers(-4, 5, (h, w, e)).astype(np.float64))
         k1 = rng.integers(-4, 5, e).astype(np.float64)
         k9 = rng.integers(-4, 5, 9 * e).astype(np.float64)
-        for got, want in _conv_pairs(feature, k1, k9):
+        for got, want in _conv_pairs(feature, k1, k9, 1 + case % _CONV_WIDTHS):
             exact &= np.array_equal(got, want)
     return worst <= 1e-6 and exact, (
-        f"max relative error {worst:.2e} over {cases} shapes x 2 ops (tol 1e-06); "
+        f"max relative error {worst:.2e} over {cases} shapes x 2 ops, each also "
+        f"batched {_CONV_WIDTHS} wide at most (tol 1e-06); "
         f"{cases // 4} integer shapes bit-exact: {exact}"
     )
 
@@ -471,6 +500,67 @@ def _mask_logit_cutoff(rng, cases):
     ]
     passed, detail = _failures(bad, len(samples), "arrays: logit cutoff = sigmoid rule")
     return passed, f"cutoff {cutoff!r}; {detail}"
+
+
+# Group norm and fusion sum in another order than their loop oracles.
+_FUSION_TOL = 1e-9
+
+
+@_check("group-norm-vs-loops", 40)
+def _group_norm_vs_loops(rng, cases):
+    """`cases` shapes up to 8x8 with 1-4 groups of 1-4 channels, affine
+    scale and shift included, within a relative _FUSION_TOL."""
+    worst = 0.0
+    for _ in range(cases):
+        h, w, groups, per = (int(v) for v in rng.integers(1, [9, 9, 5, 5]))
+        c = groups * per
+        x = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 10.0), (h, w, c))
+        scale, shift = rng.standard_normal(c), rng.standard_normal(c)
+        got = group_norm(FeatureMap(x), groups, scale, shift).data
+        want = reference.group_norm_loops(x, groups, scale, shift)
+        worst = max(worst, _relative_error(got, want))
+    return worst <= _FUSION_TOL, (
+        f"max relative error {worst:.2e} over {cases} shapes (tol {_FUSION_TOL:.0e})"
+    )
+
+
+@_check("upsample-vs-loops", 40)
+def _upsample_vs_loops(rng, cases):
+    """The 1x1, 1x5, 5x1 and 2x5 inputs, then `cases` shapes up to 9x9, each
+    with 1-3 channels, must match the loops bit for bit."""
+    shapes = [(1, 1), (1, 5), (5, 1), (2, 5)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 10, 2)) for _ in range(cases)]
+    bad = []
+    for case, (h, w) in enumerate(shapes):
+        x = rng.standard_normal((h, w, int(rng.integers(1, 4))))
+        got = bilinear_upsample_2x(FeatureMap(x)).data
+        if not np.array_equal(got, reference.upsample2x_loops(x)):
+            bad.append(case)
+    return _failures(bad, len(shapes), "shapes: 2x upsample equals the loops exactly")
+
+
+@_check("fuse-vs-loops", 6)
+def _fuse_vs_loops(rng, cases):
+    """`cases` pyramids of 1-3 levels within a relative _FUSION_TOL. Case 0
+    has C = E = 64, so its group norms hold two channels per group; the rest
+    have C of 1-4 and E of C or 2C, with a deepest level of 1-2 x 1-2."""
+    worst = 0.0
+    for case in range(cases):
+        levels = int(rng.integers(1, 4))
+        c = 64 if case == 0 else int(rng.integers(1, 5))
+        e = c * int(rng.integers(1, 3)) if case else c
+        h, w = (int(v) for v in rng.integers(1, 3, 2))
+        weights = FusionWeights.seeded(levels, c, e, seed=int(rng.integers(2**31)))
+        maps = tuple(
+            FeatureMap(rng.standard_normal((h << top, w << top, c)))
+            for top in range(levels - 1, -1, -1)
+        )
+        pyramid = PyramidLevels(maps, weights)
+        got = fuse_pyramid(pyramid).data
+        worst = max(worst, _relative_error(got, reference.fuse_pyramid_loops(pyramid)))
+    return worst <= _FUSION_TOL, (
+        f"max relative error {worst:.2e} over {cases} pyramids (tol {_FUSION_TOL:.0e})"
+    )
 
 
 def run_verification(seed: int = 0) -> list:

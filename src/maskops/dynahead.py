@@ -275,7 +275,7 @@ def dynamic_conv_1x1(feature: FeatureMap, kernel) -> np.ndarray:
     k = np.asarray(kernel, dtype=np.float64)
     if k.shape != (feature.channels,):
         raise ValueError("kernel length must equal feature channels")
-    return feature.data @ k
+    return _dynamic_conv(feature.data, k[None])[:, :, 0]
 
 
 def dynamic_conv_3x3(feature: FeatureMap, kernel) -> np.ndarray:
@@ -284,7 +284,23 @@ def dynamic_conv_3x3(feature: FeatureMap, kernel) -> np.ndarray:
     k = np.asarray(kernel, dtype=np.float64)
     if k.shape != (9 * feature.channels,):
         raise ValueError("kernel length must equal 9x feature channels")
-    return _conv3x3(feature.data, k.reshape(3, 3, feature.channels, 1))[:, :, 0]
+    return _dynamic_conv(feature.data, k[None])[:, :, 0]
+
+
+def _dynamic_conv(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """The (H, W, n) logits of n kernels, rows of the (n, E) or (n, 9E)
+    `kernels`, against the (H, W, E) feature `x`, as one product.
+
+    1x1 kernels are one (HW x E) @ (E x n) GEMM and 3x3 kernels one
+    `_conv3x3` with cout = n. A GEMM column may differ from the one-kernel
+    product in the last bits, which depend on n and on the column's place;
+    the conv-vs-loops check bounds the gap at a relative 1e-6 and requires
+    integer inputs to match the loop oracle exactly."""
+    h, w, e = x.shape
+    n = kernels.shape[0]
+    if kernels.shape[1] == e:
+        return (x.reshape(h * w, e) @ kernels.T).reshape(h, w, n)
+    return _conv3x3(x, kernels.reshape(n, 3, 3, e).transpose(1, 2, 3, 0))
 
 
 def _conv3x3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -304,15 +320,23 @@ def bilinear_upsample_2x(feature: FeatureMap) -> FeatureMap:
 
 
 def _interp_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """Double `axis` with half-pixel-center linear interpolation.
+
+    Output 2i samples input i - 1/4 and output 2i + 1 samples i + 1/4, so
+    inside the axis the weights are the constants 0.25/0.75, and the first
+    and last outputs clamp to the edge inputs with weights 1/0. Each output
+    is a * (1 - f) + b * f for its two inputs a, b and fraction f."""
     n = x.shape[axis]
-    src = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
-    lo = np.floor(src).astype(np.int64)
-    hi = np.minimum(lo + 1, n - 1)
-    frac = src - lo
-    shape = [1] * x.ndim
+    shape = list(x.shape)
     shape[axis] = 2 * n
-    frac = frac.reshape(shape)
-    return np.take(x, lo, axis=axis) * (1.0 - frac) + np.take(x, hi, axis=axis) * frac
+    out = np.empty(shape)
+    a, o = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    quarter, three_quarters = a * 0.25, a * 0.75
+    np.add(quarter[:-1], three_quarters[1:], out=o[2::2])
+    np.add(three_quarters[:-1], quarter[1:], out=o[1:-1:2])
+    o[0] = a[0] * 1.0 + a[min(1, n - 1)] * 0.0
+    o[-1] = a[-1] * 1.0 + a[-1] * 0.0
+    return out
 
 
 def _upsample2x(x: np.ndarray) -> np.ndarray:
@@ -325,27 +349,34 @@ def group_norm(feature: FeatureMap, groups: int, scale=None, shift=None) -> Feat
     _check_groups(groups, feature.channels)
     out = _group_norm(feature.data, groups)
     if scale is not None:
-        out = out * _affine(scale, feature.channels)
+        out *= _affine(scale, feature.channels)
     if shift is not None:
-        out = out + _affine(shift, feature.channels)
+        out += _affine(shift, feature.channels)
     return FeatureMap(out)
 
 
 def _group_norm(x: np.ndarray, groups: int) -> np.ndarray:
+    """A new array: x with each group of channels centered and divided by
+    sqrt(variance + GN_EPS), both taken over (pixels x group channels)."""
     h, w, c = x.shape
-    g = x.reshape(h, w, groups, c // groups)
-    mu = g.mean(axis=(0, 1, 3), keepdims=True)
-    var = g.var(axis=(0, 1, 3), keepdims=True)
-    return ((g - mu) / np.sqrt(var + GN_EPS)).reshape(h, w, c)
+    g = x.reshape(h * w, groups, c // groups)
+    centered = g - g.mean(axis=(0, 2), keepdims=True)
+    var = np.square(centered).mean(axis=(0, 2), keepdims=True)
+    centered /= np.sqrt(var + GN_EPS)
+    return centered.reshape(h, w, c)
 
 
-def _norm_conv(x: np.ndarray, st: NormConvStage, groups: int) -> np.ndarray:
+def _norm_conv_relu(x: np.ndarray, st: NormConvStage, groups: int) -> np.ndarray:
+    """conv -> group norm -> affine -> ReLU, in place after the conv."""
     # FusionWeights and PyramidLevels have checked every shape on the way here.
     if st.kernel.ndim == 4:
         x = _conv3x3(x, st.kernel)
     else:
         x = x @ st.kernel
-    return _group_norm(x, groups) * st.gn_scale + st.gn_shift
+    x = _group_norm(x, groups)
+    x *= st.gn_scale
+    x += st.gn_shift
+    return np.maximum(x, 0.0, out=x)
 
 
 def fuse_pyramid(pyramid: PyramidLevels) -> FeatureMap:
@@ -365,11 +396,10 @@ def fuse_pyramid(pyramid: PyramidLevels) -> FeatureMap:
             coords = coord_channels(level.height, level.width)
             x = np.concatenate([x, coords.data], axis=2)
         for st in w.stages[li]:
-            x = np.maximum(_norm_conv(x, st, w.groups), 0.0)
-            x = _upsample2x(x)
-        acc = x if acc is None else acc + x
-    out = np.maximum(_norm_conv(acc, w.output, w.groups), 0.0)
-    return FeatureMap(out)
+            x = _upsample2x(_norm_conv_relu(x, st, w.groups))
+        # Level li > 0 ends in a new upsampled array, which takes the sum.
+        acc = x if acc is None else np.add(acc, x, out=x)
+    return FeatureMap(_norm_conv_relu(acc, w.output, w.groups))
 
 
 CONFIDENCE_THRESHOLD = 0.1
@@ -415,6 +445,12 @@ def mask_foreground(logits: np.ndarray) -> np.ndarray:
     return logits >= _MASK_LOGIT_CUTOFF
 
 
+LOGIT_BLOCK = 1 << 20
+"""assemble_masks holds at most this many float64 logits at once (8 MiB): it
+convolves the hit cells in blocks of max(1, LOGIT_BLOCK // (H * W)) cells, so
+its peak memory does not grow with the number of cells hit."""
+
+
 def assemble_masks(
     category: CategoryGrid, kernels: KernelGrid, feature: FeatureMap
 ) -> list:
@@ -423,29 +459,34 @@ def assemble_masks(
     feature and keep the pixels whose sigmoid reaches MASK_THRESHOLD. Cells
     yielding empty masks are dropped.
 
-    Output order is (grid index k, then category).
+    The hit cells' kernels go through one batched product (`_dynamic_conv`)
+    and one `mask_foreground` call per block of cells (see LOGIT_BLOCK); a
+    cell hit by several classes yields one BinaryMask that its ScoredMasks
+    share. Output order is (grid index k, then category).
     """
     if category.grid_size != kernels.grid_size:
         raise ValueError("category and kernel grids must agree in size")
     if kernels.feature_channels != feature.channels:
         raise ValueError("kernel grid was built for a different channel count")
-    conv = dynamic_conv_1x1 if kernels.kernel_size == 1 else dynamic_conv_3x3
-    s = category.grid_size
-    out = []
-    for k in range(s * s):
-        i, j = divmod(k, s)
-        hits = np.flatnonzero(category.data[i, j] > CONFIDENCE_THRESHOLD)
-        if hits.size == 0:
-            continue
-        binary = BinaryMask.from_array(
-            mask_foreground(conv(feature, kernels.data[i, j]))
+    # np.nonzero walks (i, j, class) in C order, which is the output order.
+    rows, cols, classes = np.nonzero(category.data > CONFIDENCE_THRESHOLD)
+    new_cell = np.diff(rows * category.grid_size + cols, prepend=-1) != 0
+    hit_kernels = kernels.data[rows[new_cell], cols[new_cell]]
+    block = max(1, LOGIT_BLOCK // (feature.height * feature.width))
+    cell_masks = []
+    for start in range(0, len(hit_kernels), block):
+        # Unnamed, each block's logits are freed once they are thresholded.
+        foreground = mask_foreground(
+            _dynamic_conv(feature.data, hit_kernels[start : start + block])
         )
-        if binary.area == 0:
-            continue
-        out.extend(
-            ScoredMask(binary, float(category.data[i, j, c]), int(c)) for c in hits
-        )
-    return out
+        cell_masks += [BinaryMask.from_array(f) for f in foreground.transpose(2, 0, 1)]
+    owners = np.cumsum(new_cell) - 1
+    scores = category.data[rows, cols, classes]
+    return [
+        ScoredMask(cell_masks[q], s, c)
+        for q, s, c in zip(owners.tolist(), scores.tolist(), classes.tolist())
+        if cell_masks[q].area
+    ]
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,15 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
 
     Explicit dimensions are only required for an empty set (e.g. a generated
     scene with zero instances); given for a non-empty set, they must equal
-    the masks' own."""
+    the masks' own. Each given dimension must be an int >= 1; nothing is
+    coerced."""
+    for name, value in (("height", height), ("width", width)):
+        if value is not None and not (type(value) is int and value >= 1):
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     if not masks:
         if height is None or width is None:
             raise ValueError("an empty mask set needs explicit dimensions")
-        return {"height": int(height), "width": int(width), "instances": []}
+        return {"height": height, "width": width, "instances": []}
     h, w = masks[0].mask.height, masks[0].mask.width
     if height not in (None, h) or width not in (None, w):
         raise ValueError(

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynahead import MASK_THRESHOLD
+from .dynahead import GN_EPS, MASK_THRESHOLD, PyramidLevels, coord_channels
 from .masks import mask_iou
 from .suppression import ScoredMask
 
@@ -99,6 +99,88 @@ def conv3x3_loops(feature: np.ndarray, kernel: np.ndarray) -> np.ndarray:
                             acc += feature[sy, sx, ch] * k[ky, kx, ch]
             out[y, x] = acc
     return out
+
+
+def group_norm_loops(feature: np.ndarray, groups: int, scale, shift) -> np.ndarray:
+    """Group norm one value at a time: each group's mean, then its variance
+    about that mean, over (pixels x group channels), then
+    (x - mean) / sqrt(variance + GN_EPS) * scale + shift per channel."""
+    h, w, c = feature.shape
+    per = c // groups
+    out = np.zeros((h, w, c), dtype=np.float64)
+    for g in range(groups):
+        chans = range(g * per, (g + 1) * per)
+        count = h * w * per
+        total = 0.0
+        for y in range(h):
+            for x in range(w):
+                for ch in chans:
+                    total += feature[y, x, ch]
+        mean = total / count
+        total = 0.0
+        for y in range(h):
+            for x in range(w):
+                for ch in chans:
+                    total += (feature[y, x, ch] - mean) ** 2
+        std = math.sqrt(total / count + GN_EPS)
+        for y in range(h):
+            for x in range(w):
+                for ch in chans:
+                    norm = (feature[y, x, ch] - mean) / std
+                    out[y, x, ch] = norm * scale[ch] + shift[ch]
+    return out
+
+
+def upsample2x_loops(feature: np.ndarray) -> np.ndarray:
+    """2x bilinear upsampling with half-pixel centers, one output pixel at a
+    time: output (oy, ox) samples input ((oy + 0.5) / 2 - 0.5, (ox + 0.5) / 2
+    - 0.5), clamped to the input, from its four neighbours. Rows are blended
+    first, then columns, each as a * (1 - f) + b * f."""
+    h, w, c = feature.shape
+
+    def source(o: int, n: int) -> tuple:
+        pos = min(max((o + 0.5) / 2.0 - 0.5, 0.0), n - 1.0)
+        lo = math.floor(pos)
+        return lo, min(lo + 1, n - 1), pos - lo
+
+    out = np.zeros((2 * h, 2 * w, c), dtype=np.float64)
+    for oy in range(2 * h):
+        y0, y1, fy = source(oy, h)
+        for ox in range(2 * w):
+            x0, x1, fx = source(ox, w)
+            for ch in range(c):
+                left = feature[y0, x0, ch] * (1.0 - fy) + feature[y1, x0, ch] * fy
+                right = feature[y0, x1, ch] * (1.0 - fy) + feature[y1, x1, ch] * fy
+                out[oy, ox, ch] = left * (1.0 - fx) + right * fx
+    return out
+
+
+def fuse_pyramid_loops(pyramid: PyramidLevels) -> np.ndarray:
+    """Pyramid fusion built from the loop oracles: per level, coordinate
+    channels on the deepest, then (3x3 conv -> group norm -> ReLU -> 2x
+    upsample) per stage; the levels' sum goes through 1x1 conv -> group
+    norm -> ReLU. Convolutions run one output channel at a time."""
+    weights = pyramid.fusion_weights
+    groups = weights.groups
+    deepest = len(pyramid.levels) - 1
+
+    def stage(x: np.ndarray, st) -> np.ndarray:
+        # One flat kernel per output channel, laid out as each loop expects.
+        loops = conv1x1_loops if st.kernel.ndim == 2 else conv3x3_loops
+        flat = st.kernel.reshape(-1, st.kernel.shape[-1]).T
+        conv = np.stack([loops(x, k) for k in flat], axis=2)
+        return np.maximum(group_norm_loops(conv, groups, st.gn_scale, st.gn_shift), 0.0)
+
+    acc = None
+    for li, level in enumerate(pyramid.levels):
+        x = level.data
+        if li == deepest and li > 0:
+            coords = coord_channels(level.height, level.width).data
+            x = np.concatenate([x, coords], axis=2)
+        for st in weights.stages[li]:
+            x = upsample2x_loops(stage(x, st))
+        acc = x if acc is None else acc + x
+    return stage(acc, weights.output)
 
 
 def sigmoid_foreground(logits: np.ndarray) -> np.ndarray:

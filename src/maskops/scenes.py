@@ -17,7 +17,8 @@ SHAPES = ("rectangle", "ellipse")
 class SceneSpec:
     """Parameters for one synthetic scene.
 
-    Every base instance is replicated num_duplicates_per_instance extra times
+    The dimensions and both counts are exact Python ints. Every base
+    instance is replicated num_duplicates_per_instance extra times
     with jittered position, size and score, so the scene contains
     num_instances * (1 + num_duplicates_per_instance) masks in total, and
     height * width * total_masks may not exceed the MAX_MASK_SET_PIXELS
@@ -33,6 +34,11 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("height", "width", "num_instances", "num_duplicates_per_instance"):
+            value = getattr(self, name)
+            # bool is a subclass of int, so compare the exact type.
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.height < 8 or self.width < 8:
             raise ValueError("scene dims must be >= 8")
         if self.num_instances < 0 or self.num_duplicates_per_instance < 0:

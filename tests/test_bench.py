@@ -71,10 +71,55 @@ def test_score_checksum_sensitivity():
 
 def test_run_verification_all_pass():
     checks = run_verification(seed=0)
-    assert [c.name for c in checks] == list(bench.CHECKS)
-    assert len(checks) == 11
+    assert [c.name for c in checks] == list(bench.CHECKS) == [
+        "rle-round-trip",
+        "pairwise-iou",
+        "matrix-vs-naive",
+        "soft-matrix-n2",
+        "hard-vs-greedy",
+        "fast-subset-hard",
+        "conv-vs-loops",
+        "loss-gradients",
+        "scene-generation",
+        "pipeline-determinism",
+        "mask-logit-cutoff",
+        "group-norm-vs-loops",
+        "upsample-vs-loops",
+        "fuse-vs-loops",
+    ]
     for c in checks:
         assert c.passed, f"{c.name}: {c.detail}"
+
+
+@pytest.mark.parametrize(
+    "attr,value,failing",
+    [
+        # The loop oracle reads its own copy of GN_EPS.
+        ("GN_EPS", 1e-4, {"group-norm-vs-loops", "fuse-vs-loops"}),
+        (
+            "_interp_axis",
+            lambda x, axis: np.repeat(x, 2, axis=axis),  # nearest neighbour
+            {"upsample-vs-loops", "fuse-vs-loops"},
+        ),
+        (
+            "_dynamic_conv",  # every kernel of a batch gets the first's logits
+            lambda x, k, conv=dynahead._dynamic_conv: np.repeat(
+                conv(x, k[:1]), len(k), axis=2
+            ),
+            {"conv-vs-loops"},
+        ),
+    ],
+)
+def test_fusion_and_conv_checks_catch_a_changed_layer(
+    monkeypatch, attr, value, failing
+):
+    names = (
+        "conv-vs-loops", "group-norm-vs-loops", "upsample-vs-loops", "fuse-vs-loops"
+    )
+    assert all(bench.CHECKS[n](np.random.default_rng(0)).passed for n in names)
+    monkeypatch.setattr(dynahead, attr, value)
+    passed = {n: bench.CHECKS[n](np.random.default_rng(0)).passed for n in names}
+    assert {n for n, ok in passed.items() if not ok} == failing
 
 
 def test_mask_logit_cutoff_check_catches_a_plain_zero(monkeypatch):

@@ -1,16 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maskops import (
+    BinaryMask,
     CategoryGrid,
     DecayFn,
     FeatureMap,
     FusionWeights,
     KernelGrid,
     PyramidLevels,
+    ScoredMask,
     SuppressionConfig,
     assemble_masks,
     bilinear_upsample_2x,
@@ -25,6 +28,7 @@ from maskops import (
     mask_to_box,
     pairwise_iou_matrix,
 )
+from maskops import dynahead
 from maskops.dynahead import (
     _MASK_LOGIT_CUTOFF,
     GN_EPS,
@@ -35,7 +39,12 @@ from maskops.dynahead import (
     _upsample2x,
     mask_foreground,
 )
-from maskops.reference import conv1x1_loops, conv3x3_loops, sigmoid_foreground
+from maskops.reference import (
+    conv1x1_loops,
+    conv3x3_loops,
+    sigmoid_foreground,
+    upsample2x_loops,
+)
 
 
 @pytest.mark.parametrize("i,j,s,k", [(2, 3, 5, 13), (0, 0, 4, 0), (4, 4, 5, 24)])
@@ -121,6 +130,14 @@ def test_upsample_linearity():
     a = bilinear_upsample_2x(FeatureMap(3.5 * x)).data
     b = 3.5 * bilinear_upsample_2x(FeatureMap(x)).data
     assert np.allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (1, 6, 2), (6, 1, 1), (2, 5, 3), (4, 4, 2), (7, 3, 1)]
+)
+def test_upsample_matches_loops_exactly(shape):
+    x = np.random.default_rng(sum(shape)).normal(size=shape)
+    assert np.array_equal(_upsample2x(x), upsample2x_loops(x))
 
 
 def test_group_norm_constant_input():
@@ -434,6 +451,86 @@ def test_assemble_masks_ordering_by_cell_then_category():
     ker = KernelGrid(np.full((2, 2, 2), 5.0), 2)
     out = assemble_masks(cat, ker, FeatureMap(np.ones((3, 3, 2))))
     assert [m.category for m in out] == [0, 1] * 4
+
+
+def _per_cell_walk(category, kernels, feature):
+    """assemble_masks one grid cell at a time, as a reference."""
+    conv = dynamic_conv_1x1 if kernels.kernel_size == 1 else dynamic_conv_3x3
+    s = category.grid_size
+    out = []
+    for k in range(s * s):
+        i, j = divmod(k, s)
+        hits = np.flatnonzero(category.data[i, j] > 0.1)
+        if hits.size == 0:
+            continue
+        binary = BinaryMask.from_array(
+            mask_foreground(conv(feature, kernels.data[i, j]))
+        )
+        if binary.area:
+            out.extend(
+                ScoredMask(binary, float(category.data[i, j, c]), int(c)) for c in hits
+            )
+    return out
+
+
+@pytest.mark.parametrize("cells_per_block", [None, 1, 3])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ksize", [1, 3])
+def test_assemble_masks_equals_per_cell_walk_on_integers(
+    monkeypatch, seed, ksize, cells_per_block
+):
+    # Integer features and kernels make every logit exact, so the batched
+    # product must reproduce the per-cell one bit for bit, in one block of
+    # cells or in several.
+    if cells_per_block is not None:
+        monkeypatch.setattr(dynahead, "LOGIT_BLOCK", cells_per_block * 6 * 7)
+    rng = np.random.default_rng(seed)
+    s, classes, e = 5, 3, 4
+    feature = rng.integers(-3, 4, size=(6, 7, e)).astype(float)
+    feature[:, :, 0] = 1.0
+    kernels = rng.integers(-3, 4, size=(s, s, ksize * ksize * e)).astype(float)
+    center = (ksize * ksize // 2) * e
+    kernels[0, 0] = 0.0
+    kernels[0, 0, center] = -1000.0  # every logit negative: an empty mask
+    kernels[1, 1] = 0.0  # every logit 0, which is foreground: a full mask
+    scores = rng.uniform(0.0, 0.1, size=(s, s, classes))
+    hot = rng.random((s, s, classes)) < 0.3
+    hot[0, 0, 0] = hot[1, 1, :] = True
+    scores[hot] = rng.uniform(0.2, 1.0, size=int(hot.sum()))
+    cat, ker, feat = CategoryGrid(scores), KernelGrid(kernels, e), FeatureMap(feature)
+
+    got = assemble_masks(cat, ker, feat)
+    want = _per_cell_walk(cat, ker, feat)
+    assert got == want
+    # One BinaryMask per hit cell, shared by that cell's classes: the i-th
+    # output shares its mask with the same earlier outputs as in the walk.
+    def sharing(masks):
+        first = {}
+        return [first.setdefault(id(m.mask), i) for i, m in enumerate(masks)]
+
+    assert sharing(got) == sharing(want)
+    full = [m for m in got if m.mask.area == 6 * 7]
+    assert [m.category for m in full] == [0, 1, 2]
+    assert full[0].mask is full[1].mask is full[2].mask
+    quiet = CategoryGrid(np.minimum(scores, 0.1))
+    assert assemble_masks(quiet, ker, feat) == []
+
+
+def test_assemble_masks_peak_memory_is_bounded():
+    # 400 hit cells of 128x128 logits are 50 MiB of float64 in one product;
+    # blocks of LOGIT_BLOCK logits (8 MiB) keep the peak far below that.
+    rng = np.random.default_rng(0)
+    feature = FeatureMap(rng.normal(size=(128, 128, 4)))
+    cat = CategoryGrid(np.full((20, 20, 1), 0.5))
+    ker = KernelGrid(rng.normal(size=(20, 20, 4)), 4)
+    tracemalloc.start()
+    try:
+        out = assemble_masks(cat, ker, feature)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 400
+    assert peak < 2.5 * dynahead.LOGIT_BLOCK * 8
 
 
 def test_assemble_masks_shape_mismatch():

@@ -49,6 +49,25 @@ def test_empty_mask_set_needs_dims(tmp_path):
     assert mask_set_from_dict(doc) == []
 
 
+@pytest.mark.parametrize(
+    "dims",
+    [
+        {"height": 8.7, "width": True},
+        {"height": 8.0, "width": 8},
+        {"height": 8, "width": np.int64(8)},
+        {"height": "8", "width": 8},
+        {"height": 0, "width": 8},
+        {"height": 8, "width": -1},
+    ],
+)
+def test_mask_set_dims_must_be_positive_ints(dims):
+    with pytest.raises(ValueError, match="must be an int >= 1"):
+        mask_set_to_dict([], **dims)
+    masks = [ScoredMask(BinaryMask.from_array(np.ones((8, 8), bool)), 0.5)]
+    with pytest.raises(ValueError, match="must be an int >= 1"):
+        mask_set_to_dict(masks, **dims)
+
+
 def test_mask_set_explicit_dims_must_match():
     masks = [ScoredMask(BinaryMask.from_array(np.ones((8, 8), bool)), 0.5)]
     assert mask_set_to_dict(masks, height=8, width=8) == mask_set_to_dict(masks)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maskops import (
@@ -198,6 +198,28 @@ def test_pairwise_span_crop_matches_mask_iou(masks):
         assert np.all(got[i, : i + 1] == 0.0)
         for j in range(i + 1, len(masks)):
             assert got[i, j] == mask_iou(masks[i], masks[j])
+
+
+@settings(deadline=None)
+@given(_iou_dims.flatmap(lambda dims: _span_mask(*dims)))
+@example(BinaryMask.from_array([[1]]))
+@example(BinaryMask.from_array(np.arange(3 * 130).reshape(3, 130) % 3 == 0))
+@example(BinaryMask.from_array(np.arange(8 * 256).reshape(8, 256) % 7 < 3))
+def test_rle_round_trip_any_mask(mask):
+    rle = rle_encode(mask)
+    assert rle_decode(rle) == mask
+    assert rle_encode(rle_decode(rle)) == rle
+
+
+@settings(deadline=None)
+@given(_iou_stacks())
+def test_iou_is_symmetric(masks):
+    got = pairwise_iou_matrix(masks).values
+    for i, a in enumerate(masks):
+        for j in range(i, len(masks)):
+            assert mask_iou(a, masks[j]) == mask_iou(masks[j], a)
+            if j > i:
+                assert got[i, j] == mask_iou(masks[j], a)
 
 
 def test_pairwise_empty_and_single():

@@ -73,6 +73,24 @@ def test_spec_validation():
             SceneSpec(score_noise=noise)
 
 
+@pytest.mark.parametrize(
+    "field", ["height", "width", "num_instances", "num_duplicates_per_instance"]
+)
+@pytest.mark.parametrize("value", [16.5, 1.5, True, np.int64(8)])
+def test_spec_integer_fields_are_exact_ints(field, value):
+    with pytest.raises(ValueError, match=field):
+        SceneSpec(**{field: value})
+
+
+def test_spec_rejects_fractional_dims_before_painting():
+    # A float height once painted 17-row masks, and a float instance count
+    # leaked a TypeError out of gen_scene.
+    with pytest.raises(ValueError, match="height"):
+        gen_scene(SceneSpec(height=16.5, width=16, num_instances=1))
+    with pytest.raises(ValueError, match="num_instances"):
+        gen_scene(SceneSpec(num_instances=1.5))
+
+
 def test_spec_pixel_cap():
     # 256 x 256 x 2048 = 2**27 is the largest scene a mask-set file may hold.
     SceneSpec(height=256, width=256, num_instances=512, num_duplicates_per_instance=3)
