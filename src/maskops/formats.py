@@ -53,11 +53,15 @@ def _json_int(value, name: str) -> int:
 
 def mask_set_from_dict(doc: dict) -> list:
     """Parse a mask-set document. Dimensions, counts and categories must be
-    JSON integers and scores JSON numbers; nothing is coerced. A set that
+    JSON integers, dimensions at least 1 even for an empty set, and scores
+    JSON numbers; nothing is coerced. A set that
     would decode to more than MAX_MASK_SET_PIXELS pixels is rejected. Every
     rejection is a ValueError starting with "malformed mask set"."""
     try:
         h, w = _json_int(doc["height"], "height"), _json_int(doc["width"], "width")
+        # Checked here, not only by RleMask, so an empty set is held to it too.
+        if h < 1 or w < 1:
+            raise ValueError(f"dimensions must be >= 1, got {h}x{w}")
         instances = doc["instances"]
         if h * w * len(instances) > MAX_MASK_SET_PIXELS:
             raise ValueError(

@@ -129,6 +129,16 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("dims", [(0, 4), (4, -5), (0, -5), (0, 0)])
+def test_empty_mask_set_with_bad_dims_exits_2(tmp_path, capsys, dims):
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps({"height": dims[0], "width": dims[1], "instances": []}))
+    code, out, err = run_cli(["suppress", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "malformed mask set: dimensions must be >= 1" in err
+
+
 def test_oversized_mask_set_exits_2(tmp_path, capsys):
     # A count past int64 once escaped as an OverflowError traceback.
     huge = tmp_path / "huge.json"

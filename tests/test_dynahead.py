@@ -28,7 +28,8 @@ from maskops import (
     mask_to_box,
     pairwise_iou_matrix,
 )
-from maskops import dynahead
+from maskops import dynahead, formats
+from maskops.bench import _FUSION_TOL, _relative_error, seeded_pipeline_inputs
 from maskops.dynahead import (
     _MASK_LOGIT_CUTOFF,
     GN_EPS,
@@ -42,6 +43,8 @@ from maskops.dynahead import (
 from maskops.reference import (
     conv1x1_loops,
     conv3x3_loops,
+    fuse_pyramid_loops,
+    group_norm_loops,
     sigmoid_foreground,
     upsample2x_loops,
 )
@@ -178,6 +181,28 @@ def test_group_norm_affine_and_divisibility():
             group_norm(x, bad)
 
 
+@settings(deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.floats(1e-3, 1e3),
+    st.floats(-1e4, 1e4),
+    st.integers(0, 2**32 - 1),
+)
+def test_group_norm_matches_loops(h, w, groups, per, spread, offset, seed):
+    # Means up to 1e4 times the spread: the centered values lose the most
+    # bits there.
+    rng = np.random.default_rng(seed)
+    c = groups * per
+    x = rng.normal(offset * spread, spread, (h, w, c))
+    scale, shift = rng.standard_normal(c), rng.standard_normal(c)
+    got = group_norm(FeatureMap(x), groups, scale, shift).data
+    want = group_norm_loops(x, groups, scale, shift)
+    assert _relative_error(got, want) <= _FUSION_TOL
+
+
 @pytest.mark.parametrize(
     "scale,shift",
     [
@@ -207,30 +232,39 @@ def seeded_pyramid(seed=0, levels=4, channels=4, out_channels=8):
     return PyramidLevels(maps, weights)
 
 
-def test_fuse_pyramid_matches_primitive_composition():
-    pyr = seeded_pyramid(3)
+def _fuse_by_primitives(pyr):
+    """fuse_pyramid's order from its primitives: levels 1 and up stop before
+    their last upsample, and their sum is upsampled once and added to
+    level 0."""
     w = pyr.fusion_weights
-    acc = None
-    for li, level in enumerate(pyr.levels):
+    half = None
+    for li, level in enumerate(pyr.levels[1:], 1):
         x = level.data
         if li == len(pyr.levels) - 1:
             x = np.concatenate(
                 [x, coord_channels(level.height, level.width).data], axis=2
             )
-        for st in w.stages[li]:
+        for si, st in enumerate(w.stages[li]):
+            if si:
+                x = _upsample2x(x)
             x = _conv3x3(x, st.kernel)
             x = _group_norm(x, w.groups) * st.gn_scale + st.gn_shift
             x = np.maximum(x, 0.0)
-            x = _upsample2x(x)
-        acc = x if acc is None else acc + x
-    want = np.maximum(
+        half = x if half is None else half + x
+    acc = pyr.levels[0].data + _upsample2x(half)
+    return np.maximum(
         _group_norm(acc @ w.output.kernel, w.groups) * w.output.gn_scale
         + w.output.gn_shift,
         0.0,
     )
-    got = fuse_pyramid(pyr)
-    assert got.data.shape == (16, 24, 8)
-    assert np.array_equal(got.data, want)
+
+
+def test_fuse_pyramid_matches_primitive_composition():
+    for levels in (4, 2):
+        pyr = seeded_pyramid(3, levels=levels)
+        got = fuse_pyramid(pyr)
+        assert got.data.shape == (16, 24, 8)
+        assert np.array_equal(got.data, _fuse_by_primitives(pyr))
 
 
 def test_fuse_pyramid_zero_weights_zero_input():
@@ -345,14 +379,44 @@ def test_fusion_weights_reject_or_fuse(case):
         w = FusionWeights(*case)
     except ValueError:
         return
-    top = w.num_levels - 1
+    # The drawn kernels are zero; random ones of the same shapes make the
+    # comparison with the loops say something.
     rng = np.random.default_rng(0)
+    live = lambda stage: NormConvStage(
+        rng.normal(size=stage.kernel.shape),
+        1.0 + 0.1 * rng.normal(size=stage.kernel.shape[-1]),
+        0.1 * rng.normal(size=stage.kernel.shape[-1]),
+    )
+    w = FusionWeights(
+        tuple(tuple(live(stage) for stage in level) for level in w.stages),
+        live(w.output),
+    )
+    top = w.num_levels - 1
     maps = tuple(
         FeatureMap(rng.normal(size=(2 << (top - i), 3 << (top - i), w.channels)))
         for i in range(w.num_levels)
     )
-    out = fuse_pyramid(PyramidLevels(maps, w))
+    pyramid = PyramidLevels(maps, w)
+    out = fuse_pyramid(pyramid)
     assert out.data.shape == (2 << top, 3 << top, w.out_channels)
+    assert _relative_error(out.data, fuse_pyramid_loops(pyramid)) <= _FUSION_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 11, 808])
+def test_pipeline_json_unchanged_by_the_fusion_oracle(monkeypatch, seed):
+    # fuse_pyramid is only within _FUSION_TOL of the loops; on the seeded
+    # scenes that gap must not flip a mask pixel, a score or an order.
+    inputs = seeded_pipeline_inputs(seed)
+
+    def rendered():
+        return formats.to_json(formats.instances_to_dict(inference_pipeline(*inputs)))
+
+    fast = rendered()
+    monkeypatch.setattr(
+        dynahead, "fuse_pyramid", lambda p: FeatureMap(fuse_pyramid_loops(p))
+    )
+    assert rendered() == fast
+    assert '"score"' in fast
 
 
 def test_pyramid_validation():

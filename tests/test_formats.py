@@ -111,6 +111,11 @@ def test_mask_set_rejects_mixed_dims():
          "instances": [{"counts": [10000000000], "score": 0.5}]},
         # A score too large for a float.
         {"height": 1, "width": 1, "instances": [{"counts": [1], "score": 10**400}]},
+        # Non-positive dimensions, with no instance to reject them later.
+        {"height": 0, "width": 4, "instances": []},
+        {"height": 4, "width": -5, "instances": []},
+        {"height": 0, "width": -5, "instances": []},
+        {"height": 0, "width": 0, "instances": []},
     ],
 )
 def test_malformed_mask_set(doc):
