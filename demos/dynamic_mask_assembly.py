@@ -9,7 +9,7 @@ from maskops import (
     KernelGrid,
     assemble_masks,
     coord_channels,
-    dynamic_conv_1x1,
+    dynamic_conv,
     fuse_pyramid,
     grid_index,
     inference_pipeline,
@@ -25,10 +25,11 @@ print("cell (2, 3) of a 4x4 grid is flat index", grid_index(2, 3, S))
 
 # Each cell predicts its own convolution kernel. Applying cell k's kernel to a
 # shared feature map yields that cell's mask logits — the convolution weights
-# are data, not model parameters.
+# are data, not model parameters. A kernel of length E (the feature's channel
+# count) is a 1x1 conv; one of length 9E would be a 3x3 conv.
 feature = FeatureMap(rng.normal(size=(8, 8, 5)))
 kernels = KernelGrid(rng.normal(size=(S, S, 5)), feature_channels=5)
-logits = dynamic_conv_1x1(feature, kernels.data[2, 3])
+logits = dynamic_conv(feature, kernels.data[2:3, 3])[:, :, 0]
 print("cell (2,3) logits:", logits.shape, "mean", round(float(logits.mean()), 3))
 
 # Masks should know where they are, so the deepest pyramid level gets two

@@ -3,7 +3,7 @@ Run with: python3 demos/training_losses.py"""
 
 import numpy as np
 
-from maskops import BinaryMask, LossConfig, dice_loss, focal_loss, total_loss
+from maskops import BinaryMask, MASK_WEIGHT, dice_loss, focal_loss, total_loss
 
 # Dice loss measures mask overlap: 1 - 2*sum(p*q) / (sum(p^2) + sum(q^2)).
 # A perfect prediction scores ~0, a disjoint one ~1, and unlike plain
@@ -33,13 +33,12 @@ print("\np_t      gamma=0    gamma=1    gamma=2")
 for p in (0.3, 0.6, 0.9):
     row = [focal_loss(p, 1, gamma=g)[0] for g in (0.0, 1.0, 2.0)]
     print(f"{p:.1f}   " + "  ".join(f"{v:9.5f}" for v in row))
-# gamma=0 is plain (alpha-weighted) cross-entropy; higher gamma crushes the
+# gamma=0 is plain cross-entropy weighted by FOCAL_ALPHA; higher gamma crushes the
 # already-easy p_t=0.9 row hardest.
 
 # A training step sums focal terms over grid cells and dice terms over masks,
 # with the mask branch up-weighted.
 cate_terms = [focal_loss(p, t)[0] for p, t in ((0.3, 1), (0.8, 1), (0.1, 0))]
 mask_terms = [dice_loss(shifted, BinaryMask.from_array(target))[0]]
-cfg = LossConfig()
-print(f"\ntotal = mean(cate) + {cfg.mask_weight} * mean(mask) = "
-      f"{total_loss(cate_terms, mask_terms, cfg):.4f}")
+print(f"\ntotal = mean(cate) + {MASK_WEIGHT} * mean(mask) = "
+      f"{total_loss(cate_terms, mask_terms):.4f}")

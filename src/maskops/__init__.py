@@ -35,14 +35,13 @@ from .dynahead import (
     assemble_masks,
     bilinear_upsample_2x,
     coord_channels,
-    dynamic_conv_1x1,
-    dynamic_conv_3x3,
+    dynamic_conv,
     fuse_pyramid,
     grid_index,
     group_norm,
     inference_pipeline,
 )
-from .losses import LossConfig, dice_loss, focal_loss, total_loss
+from .losses import FOCAL_ALPHA, MASK_WEIGHT, dice_loss, focal_loss, total_loss
 from .scenes import SceneSpec, gen_scene
 from .bench import (
     BenchReport,
@@ -63,9 +62,9 @@ __all__ = [
     "suppress",
     "CategoryGrid", "FeatureMap", "FusionWeights", "Instance", "KernelGrid",
     "PyramidLevels", "assemble_masks", "bilinear_upsample_2x",
-    "coord_channels", "dynamic_conv_1x1", "dynamic_conv_3x3", "fuse_pyramid",
-    "grid_index", "group_norm", "inference_pipeline",
-    "LossConfig", "dice_loss", "focal_loss", "total_loss",
+    "coord_channels", "dynamic_conv", "fuse_pyramid", "grid_index",
+    "group_norm", "inference_pipeline",
+    "FOCAL_ALPHA", "MASK_WEIGHT", "dice_loss", "focal_loss", "total_loss",
     "SceneSpec", "gen_scene",
     "BenchReport", "VerifyCheck", "run_bench", "run_verification",
     "score_checksum",

@@ -26,8 +26,6 @@ from .dynahead import CategoryGrid, FusionWeights, KernelGrid, PyramidLevels
 from .dynahead import (
     FeatureMap,
     bilinear_upsample_2x,
-    dynamic_conv_1x1,
-    dynamic_conv_3x3,
     fuse_pyramid,
     group_norm,
     inference_pipeline,
@@ -118,21 +116,20 @@ def _fast_agrees(masks, ious, iou_threshold) -> bool:
 
 
 def _conv_pairs(feature: FeatureMap, k1, k9, width: int):
-    """(fast, loop oracle) outputs of `dynamic_conv_1x1` and `dynamic_conv_3x3`
-    on the kernels k1 and k9, then of the batched product `assemble_masks`
-    uses on `width` kernels of each size. Kernel r of a batch is the given
-    kernel rolled by r and scaled by r + 1, so the batch draws no random
-    numbers and integer kernels stay integer."""
+    """(fast, loop oracle) outputs of `dynamic_conv` on the single kernels k1
+    and k9, then on `width` kernels of each size, the batch `assemble_masks`
+    passes. Kernel r of a batch is the given kernel rolled by r and scaled by
+    r + 1, so the batch draws no random numbers and integer kernels stay
+    integer."""
     pairs = []
-    for kernel, conv, loops in (
-        (k1, dynamic_conv_1x1, reference.conv1x1_loops),
-        (k9, dynamic_conv_3x3, reference.conv3x3_loops),
+    for kernel, loops in (
+        (k1, reference.conv1x1_loops),
+        (k9, reference.conv3x3_loops),
     ):
         batch = np.stack([np.roll(kernel, r) * (r + 1) for r in range(width)])
         wants = [loops(feature.data, k) for k in batch]
-        pairs.append((conv(feature, kernel), wants[0]))
-        batched = dynahead._dynamic_conv(feature.data, batch)
-        pairs.append((batched, np.stack(wants, axis=2)))
+        pairs.append((dynahead.dynamic_conv(feature, kernel[None])[:, :, 0], wants[0]))
+        pairs.append((dynahead.dynamic_conv(feature, batch), np.stack(wants, axis=2)))
     return pairs
 
 

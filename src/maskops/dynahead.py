@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .masks import BinaryMask, Box, mask_to_box
+from .masks import BinaryMask, Box, mask_to_box, require_int
 from .suppression import ScoredMask, SuppressionConfig, suppress
 
 
@@ -47,13 +47,21 @@ class FeatureMap:
         return self.data.shape[2]
 
 
+def _kernel_side(d: int, e: int) -> int:
+    """The side of a dynamic kernel of length D against E feature channels:
+    D = E is a 1x1 kernel and D = 9E a 3x3 kernel, flattened row-major as
+    (ky, kx, channel). Any other D is a ValueError."""
+    if d == e:
+        return 1
+    if d == 9 * e:
+        return 3
+    raise ValueError(f"kernel dim must be E or 9E for E = {e}, got {d}")
+
+
 @dataclass(frozen=True, eq=False)
 class KernelGrid:
-    """S x S grid of predicted convolution kernels, one D-vector per cell.
-
-    D must equal the paired feature's channel count E (1x1 kernels) or 9E
-    (3x3 kernels, flattened row-major as (ky, kx, channel)).
-    """
+    """S x S grid of predicted convolution kernels, one D-vector per cell,
+    for a feature of `feature_channels` = E channels (see `_kernel_side`)."""
 
     data: np.ndarray
     feature_channels: int
@@ -62,17 +70,12 @@ class KernelGrid:
         object.__setattr__(self, "data", _as_f64(self.data, "kernels", 3))
         if self.data.shape[0] != self.data.shape[1]:
             raise ValueError("kernel grid must be square")
-        d = self.data.shape[2]
-        if d not in (self.feature_channels, 9 * self.feature_channels):
-            raise ValueError("kernel dim must be E or 9E")
+        require_int(self.feature_channels, "feature_channels", 1)
+        _kernel_side(self.data.shape[2], self.feature_channels)
 
     @property
     def grid_size(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def kernel_size(self) -> int:
-        return 1 if self.data.shape[2] == self.feature_channels else 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +134,7 @@ GN_EPS = 1e-5
 
 def _check_groups(groups: int, *channel_counts: int):
     """Group norm splits channels into `groups` equal groups."""
-    if not (type(groups) is int and groups >= 1):
-        raise ValueError(f"groups must be an int >= 1, got {groups!r}")
+    require_int(groups, "groups", 1)
     if any(c % groups for c in channel_counts):
         raise ValueError(f"groups={groups} must divide {channel_counts}")
 
@@ -245,7 +247,10 @@ class PyramidLevels:
 
 def grid_index(i: int, j: int, grid_size: int) -> int:
     """Flattened cell index k = i * grid_size + j."""
-    if not (0 <= i < grid_size and 0 <= j < grid_size):
+    require_int(grid_size, "grid_size", 1)
+    require_int(i, "i", 0)
+    require_int(j, "j", 0)
+    if i >= grid_size or j >= grid_size:
         raise ValueError("cell out of range")
     return i * grid_size + j
 
@@ -270,37 +275,26 @@ def coord_channels(height: int, width: int) -> FeatureMap:
     return FeatureMap(out)
 
 
-def dynamic_conv_1x1(feature: FeatureMap, kernel) -> np.ndarray:
-    """Per-pixel dot product of the feature with a length-E kernel (no bias)."""
-    k = np.asarray(kernel, dtype=np.float64)
-    if k.shape != (feature.channels,):
-        raise ValueError("kernel length must equal feature channels")
-    return _dynamic_conv(feature.data, k[None])[:, :, 0]
+def dynamic_conv(feature: FeatureMap, kernels) -> np.ndarray:
+    """The (H, W, n) logits of n dynamic kernels, the rows of the (n, D)
+    `kernels`, against the (H, W, E) feature, as one product with no bias.
 
-
-def dynamic_conv_3x3(feature: FeatureMap, kernel) -> np.ndarray:
-    """Cross-correlation with a 3x3xE kernel (flattened, row-major), zero
-    padding 1, no bias; output size equals input size."""
-    k = np.asarray(kernel, dtype=np.float64)
-    if k.shape != (9 * feature.channels,):
-        raise ValueError("kernel length must equal 9x feature channels")
-    return _dynamic_conv(feature.data, k[None])[:, :, 0]
-
-
-def _dynamic_conv(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """The (H, W, n) logits of n kernels, rows of the (n, E) or (n, 9E)
-    `kernels`, against the (H, W, E) feature `x`, as one product.
-
-    1x1 kernels are one (HW x E) @ (E x n) GEMM and 3x3 kernels one
-    `_conv3x3` with cout = n. A GEMM column may differ from the one-kernel
-    product in the last bits, which depend on n and on the column's place;
-    the conv-vs-loops check bounds the gap at a relative 1e-6 and requires
-    integer inputs to match the loop oracle exactly."""
+    D sets the kernel size (`_kernel_side`). 1x1 kernels are one
+    (HW x E) @ (E x n) GEMM; 3x3 kernels are one `_conv3x3` with cout = n,
+    a cross-correlation with zero padding 1, so the output keeps H x W. A
+    GEMM column may differ from the one-kernel product in the last bits,
+    which depend on n and on the column's place; the conv-vs-loops check
+    bounds the gap at a relative 1e-6 and requires integer inputs to match
+    the loop oracle exactly."""
+    k = np.asarray(kernels, dtype=np.float64)
+    if k.ndim != 2:
+        raise ValueError("kernels must be an (n, D) array")
+    x = feature.data
     h, w, e = x.shape
-    n = kernels.shape[0]
-    if kernels.shape[1] == e:
-        return (x.reshape(h * w, e) @ kernels.T).reshape(h, w, n)
-    return _conv3x3(x, kernels.reshape(n, 3, 3, e).transpose(1, 2, 3, 0))
+    n = k.shape[0]
+    if _kernel_side(k.shape[1], e) == 1:
+        return (x.reshape(h * w, e) @ k.T).reshape(h, w, n)
+    return _conv3x3(x, k.reshape(n, 3, 3, e).transpose(1, 2, 3, 0))
 
 
 def _conv3x3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -343,15 +337,14 @@ def _upsample2x(x: np.ndarray) -> np.ndarray:
     return _interp_axis(_interp_axis(x, 0), 1)
 
 
-def group_norm(feature: FeatureMap, groups: int, scale=None, shift=None) -> FeatureMap:
+def group_norm(feature: FeatureMap, groups: int, scale, shift) -> FeatureMap:
     """Normalize each channel group to mean 0 / variance 1 over
-    (spatial x group-channels), then apply the affine scale and shift."""
+    (spatial x group-channels), then apply the per-channel affine scale and
+    shift."""
     _check_groups(groups, feature.channels)
     out = _group_norm(feature.data, groups)
-    if scale is not None:
-        out *= _affine(scale, feature.channels)
-    if shift is not None:
-        out += _affine(shift, feature.channels)
+    out *= _affine(scale, feature.channels)
+    out += _affine(shift, feature.channels)
     return FeatureMap(out)
 
 
@@ -479,7 +472,7 @@ def assemble_masks(
     feature and keep the pixels whose sigmoid reaches MASK_THRESHOLD. Cells
     yielding empty masks are dropped.
 
-    The hit cells' kernels go through one batched product (`_dynamic_conv`)
+    The hit cells' kernels go through one batched product (`dynamic_conv`)
     and one `mask_foreground` call per block of cells (see LOGIT_BLOCK); a
     cell hit by several classes yields one BinaryMask that its ScoredMasks
     share. Output order is (grid index k, then category).
@@ -497,7 +490,7 @@ def assemble_masks(
     for start in range(0, len(hit_kernels), block):
         # Unnamed, each block's logits are freed once they are thresholded.
         foreground = mask_foreground(
-            _dynamic_conv(feature.data, hit_kernels[start : start + block])
+            dynamic_conv(feature, hit_kernels[start : start + block])
         )
         cell_masks += [BinaryMask.from_array(f) for f in foreground.transpose(2, 0, 1)]
     owners = np.cumsum(new_cell) - 1

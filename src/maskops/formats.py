@@ -6,7 +6,14 @@ import json
 from typing import Sequence
 
 from .dynahead import Instance
-from .masks import MAX_MASK_SET_PIXELS, RleMask, mask_to_box, rle_decode, rle_encode
+from .masks import (
+    MAX_MASK_SET_PIXELS,
+    RleMask,
+    mask_to_box,
+    require_int,
+    rle_decode,
+    rle_encode,
+)
 from .suppression import ScoredMask, SuppressionResult
 
 
@@ -18,8 +25,8 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
     the masks' own. Each given dimension must be an int >= 1; nothing is
     coerced."""
     for name, value in (("height", height), ("width", width)):
-        if value is not None and not (type(value) is int and value >= 1):
-            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if value is not None:
+            require_int(value, name, 1)
     if not masks:
         if height is None or width is None:
             raise ValueError("an empty mask set needs explicit dimensions")
@@ -43,14 +50,6 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
     return {"height": h, "width": w, "instances": instances}
 
 
-def _json_int(value, name: str) -> int:
-    # bool is a subclass of int, so compare the exact type: JSON true, 1.0
-    # and "1" are all rejected rather than coerced.
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def mask_set_from_dict(doc: dict) -> list:
     """Parse a mask-set document. Dimensions, counts and categories must be
     JSON integers, dimensions at least 1 even for an empty set, and scores
@@ -58,10 +57,9 @@ def mask_set_from_dict(doc: dict) -> list:
     would decode to more than MAX_MASK_SET_PIXELS pixels is rejected. Every
     rejection is a ValueError starting with "malformed mask set"."""
     try:
-        h, w = _json_int(doc["height"], "height"), _json_int(doc["width"], "width")
         # Checked here, not only by RleMask, so an empty set is held to it too.
-        if h < 1 or w < 1:
-            raise ValueError(f"dimensions must be >= 1, got {h}x{w}")
+        h = require_int(doc["height"], "height", 1)
+        w = require_int(doc["width"], "width", 1)
         instances = doc["instances"]
         if h * w * len(instances) > MAX_MASK_SET_PIXELS:
             raise ValueError(
@@ -77,7 +75,7 @@ def mask_set_from_dict(doc: dict) -> list:
                 ScoredMask(
                     rle_decode(RleMask(h, w, counts)),
                     float(score),
-                    _json_int(e.get("category", 0), "category"),
+                    e.get("category", 0),
                 )
             )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -3,23 +3,11 @@ category scores, and the combined reduction. Gradients are analytic."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .masks import BinaryMask
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """mask_weight is the multiplier on the mask term of the total loss."""
-
-    mask_weight: float = 3.0
-
-    def __post_init__(self):
-        if not self.mask_weight >= 0.0:  # NaN fails too
-            raise ValueError("mask_weight must be non-negative")
 
 
 def probabilities(values, ndim: int) -> np.ndarray:
@@ -69,24 +57,25 @@ def dice_loss(pred, target) -> Tuple[float, np.ndarray]:
     return 1.0 - dice, grad
 
 
+FOCAL_ALPHA = 0.25
+"""Focal loss weight of the positive class; the negative class gets
+1 - FOCAL_ALPHA."""
+
+
 def focal_loss(
-    pred_prob: float,
-    target: int,
-    alpha: float = 0.25,
-    gamma: float = 2.0,
+    pred_prob: float, target: int, gamma: float = 2.0
 ) -> Tuple[float, float]:
     """-alpha_t (1 - p_t)^gamma log(p_t) with its gradient w.r.t. pred_prob,
-    where p_t = pred_prob when target=1 and 1 - pred_prob otherwise.
-    alpha must lie in [0, 1] and gamma must be non-negative."""
+    where p_t = pred_prob and alpha_t = FOCAL_ALPHA when target=1, and
+    p_t = 1 - pred_prob and alpha_t = 1 - FOCAL_ALPHA otherwise.
+    gamma must be non-negative."""
     pred_prob = float(probabilities(pred_prob, 0))
     if target not in (0, 1):
         raise ValueError("target must be 0 or 1")
-    if not 0.0 <= alpha <= 1.0:  # NaN fails too
-        raise ValueError("alpha must be in [0, 1]")
-    if not gamma >= 0.0:
+    if not gamma >= 0.0:  # NaN fails too
         raise ValueError("gamma must be non-negative")
     p_t = pred_prob if target == 1 else 1.0 - pred_prob
-    a_t = alpha if target == 1 else 1.0 - alpha
+    a_t = FOCAL_ALPHA if target == 1 else 1.0 - FOCAL_ALPHA
     one_minus = 1.0 - p_t
     loss = -a_t * one_minus**gamma * np.log(p_t)
     # dL/dp_t, then flip sign for target=0 since p_t = 1 - p.
@@ -100,13 +89,13 @@ def focal_loss(
     return float(loss), float(grad)
 
 
-def total_loss(
-    cate_terms: Sequence[float],
-    mask_terms: Sequence[float],
-    config: LossConfig = LossConfig(),
-) -> float:
-    """Mean of the category (focal) terms plus mask_weight times the mean of
-    the mask (dice) terms; an empty mask-term list contributes zero."""
+MASK_WEIGHT = 3.0
+"""The weight lambda of the mask term in the total loss L_cate + lambda * L_mask."""
+
+
+def total_loss(cate_terms: Sequence[float], mask_terms: Sequence[float]) -> float:
+    """Mean of the category (focal) terms plus MASK_WEIGHT times the mean of
+    the mask (dice) terms; an empty term list contributes zero."""
     cate = float(np.mean(cate_terms)) if len(cate_terms) else 0.0
     mask = float(np.mean(mask_terms)) if len(mask_terms) else 0.0
-    return cate + config.mask_weight * mask
+    return cate + MASK_WEIGHT * mask

@@ -17,6 +17,17 @@ _WORD_BITS = 64
 MAX_MASK_SET_PIXELS = 1 << 27
 
 
+def require_int(value, name: str, minimum: int) -> int:
+    """`value` if it is a Python int >= `minimum`, else a ValueError.
+
+    The type must be exactly int: bool (a subclass of int), float and NumPy
+    integer scalars are rejected rather than coerced. Every exact-int check
+    in the package is a call to this function."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
 def _pack_rows(flat: np.ndarray) -> np.ndarray:
     """Pack a flat boolean array into little-endian uint64 words (zero padded)."""
     packed = np.packbits(flat, bitorder="little")
@@ -44,8 +55,8 @@ class BinaryMask:
     words: np.ndarray
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("mask dims must be >= 1")
+        require_int(self.height, "height", 1)
+        require_int(self.width, "width", 1)
         n_words = (self.height * self.width + _WORD_BITS - 1) // _WORD_BITS
         if self.words.dtype != np.uint64 or self.words.shape != (n_words,):
             raise ValueError("words must be a uint64 vector covering height*width bits")
@@ -98,11 +109,11 @@ class RleMask:
     counts: tuple
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("mask dims must be >= 1")
+        require_int(self.height, "height", 1)
+        require_int(self.width, "width", 1)
         counts = tuple(self.counts)
         object.__setattr__(self, "counts", counts)
-        # bool is a subclass of int, so compare exact types.
+        # require_int's exact-type rule, applied to all counts at once.
         if not set(map(type, counts)) <= {int}:
             raise ValueError("counts must be integers")
         if not counts:
@@ -204,8 +215,8 @@ class Box:
     y_max: int
 
     def __post_init__(self):
-        if min(self.x_min, self.y_min) < 0:
-            raise ValueError("box coordinates must be non-negative")
+        for name in ("x_min", "y_min", "x_max", "y_max"):
+            require_int(getattr(self, name), name, 0)
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError("box max must be >= min on both axes")
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import MAX_MASK_SET_PIXELS, BinaryMask
+from .masks import MAX_MASK_SET_PIXELS, BinaryMask, require_int
 from .suppression import ScoredMask
 
 SHAPES = ("rectangle", "ellipse")
@@ -34,15 +34,13 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("height", "width", "num_instances", "num_duplicates_per_instance"):
-            value = getattr(self, name)
-            # bool is a subclass of int, so compare the exact type.
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.height < 8 or self.width < 8:
-            raise ValueError("scene dims must be >= 8")
-        if self.num_instances < 0 or self.num_duplicates_per_instance < 0:
-            raise ValueError("counts must be non-negative")
+        for name, minimum in (
+            ("height", 8),
+            ("width", 8),
+            ("num_instances", 0),
+            ("num_duplicates_per_instance", 0),
+        ):
+            require_int(getattr(self, name), name, minimum)
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}")
         if not 0.0 <= self.score_noise < float("inf"):  # NaN fails too

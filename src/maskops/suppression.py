@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .masks import BinaryMask, IoUMatrix, pairwise_iou_matrix
+from .masks import BinaryMask, IoUMatrix, pairwise_iou_matrix, require_int
 
 METHODS = ("hard", "soft", "fast", "matrix")
 DECAY_KINDS = ("linear", "gauss")
@@ -31,8 +31,7 @@ class ScoredMask:
     def __post_init__(self):
         if not 0.0 < self.score <= 1.0:
             raise ValueError("score must be in (0, 1]")
-        if not (type(self.category) is int and self.category >= 0):
-            raise ValueError(f"category must be an int >= 0, got {self.category!r}")
+        require_int(self.category, "category", 0)
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,8 @@ class SuppressionConfig:
             raise ValueError("iou_threshold must be in [0, 1]")
         if not self.score_threshold >= 0.0:  # NaN fails too
             raise ValueError("score_threshold must be non-negative")
-        # bool is a subclass of int, so compare exact types.
-        if self.top_k is not None and not (type(self.top_k) is int and self.top_k >= 1):
-            raise ValueError("top_k must be None or an int >= 1")
+        if self.top_k is not None:
+            require_int(self.top_k, "top_k", 1)
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,8 @@ def matrix_nms(
             # A suppressor that is itself certainly suppressed never decays
             # anyone; +inf loses every min against a finite ratio.
             terms[singular, :] = np.inf
+        # Column 0 is all zeros, so row 0 is never singular: dvec is finite.
         dvec = terms.min(axis=0)
-        dvec = np.where(np.isfinite(dvec), dvec, 1.0)
     np.minimum(dvec, 1.0, out=dvec)
     updated = scores * dvec
     keep = _keep_mask(updated, score_threshold)

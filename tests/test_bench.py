@@ -102,9 +102,9 @@ def test_run_verification_all_pass():
             {"upsample-vs-loops", "fuse-vs-loops"},
         ),
         (
-            "_dynamic_conv",  # every kernel of a batch gets the first's logits
-            lambda x, k, conv=dynahead._dynamic_conv: np.repeat(
-                conv(x, k[:1]), len(k), axis=2
+            "dynamic_conv",  # every kernel of a batch gets the first's logits
+            lambda f, k, conv=dynahead.dynamic_conv: np.repeat(
+                conv(f, k[:1]), len(k), axis=2
             ),
             {"conv-vs-loops"},
         ),

@@ -136,7 +136,9 @@ def test_empty_mask_set_with_bad_dims_exits_2(tmp_path, capsys, dims):
     code, out, err = run_cli(["suppress", str(bad)], capsys)
     assert code == 2
     assert out == ""
-    assert "malformed mask set: dimensions must be >= 1" in err
+    # Height is checked first, so a bad height is the one named.
+    name, value = ("height", dims[0]) if dims[0] < 1 else ("width", dims[1])
+    assert f"malformed mask set: {name} must be an int >= 1, got {value}\n" in err
 
 
 def test_oversized_mask_set_exits_2(tmp_path, capsys):

@@ -18,8 +18,7 @@ from maskops import (
     assemble_masks,
     bilinear_upsample_2x,
     coord_channels,
-    dynamic_conv_1x1,
-    dynamic_conv_3x3,
+    dynamic_conv,
     fuse_pyramid,
     grid_index,
     group_norm,
@@ -61,6 +60,16 @@ def test_grid_index_out_of_range(i, j):
         grid_index(i, j, 5)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, np.int64(2)])
+@pytest.mark.parametrize("place", range(3))
+def test_grid_index_takes_exact_ints(place, bad):
+    # A float once came back as a float index: grid_index(1.0, 1, 3) == 4.0.
+    args = [1, 1, 3]
+    args[place] = bad
+    with pytest.raises(ValueError, match="must be an int"):
+        grid_index(*args)
+
+
 def test_coord_channels_values():
     cc = coord_channels(2, 3)
     assert np.array_equal(cc.data[0, :, 0], [-1.0, 0.0, 1.0])  # x along columns
@@ -75,18 +84,23 @@ def test_coord_channels_antisymmetry():
     assert np.array_equal(cc[::-1, :, 1], -cc[:, :, 1])
 
 
+def conv_one(feature, kernel):
+    """dynamic_conv of a single kernel, as an (H, W) map."""
+    return dynamic_conv(feature, np.asarray(kernel)[None])[:, :, 0]
+
+
 def test_conv1x1_pixel_dot():
     fm = FeatureMap(np.array([[[1.0, 2.0]]]))
-    out = dynamic_conv_1x1(fm, [0.5, -1.0])
+    out = conv_one(fm, [0.5, -1.0])
     assert out[0, 0] == -1.5
-    assert np.all(dynamic_conv_1x1(fm, [0.0, 0.0]) == 0.0)
+    assert np.all(conv_one(fm, [0.0, 0.0]) == 0.0)
 
 
 def test_conv1x1_matches_loops():
     rng = np.random.default_rng(2)
     feat = rng.normal(size=(4, 4, 3))
     k = rng.normal(size=3)
-    got = dynamic_conv_1x1(FeatureMap(feat), k)
+    got = conv_one(FeatureMap(feat), k)
     assert np.allclose(got, conv1x1_loops(feat, k), rtol=1e-6, atol=1e-12)
 
 
@@ -95,28 +109,40 @@ def test_conv3x3_delta_kernel_is_identity():
     feat = rng.normal(size=(6, 5, 1))
     kernel = np.zeros(9)
     kernel[4] = 1.0  # center tap
-    assert np.array_equal(dynamic_conv_3x3(FeatureMap(feat), kernel), feat[:, :, 0])
+    assert np.array_equal(conv_one(FeatureMap(feat), kernel), feat[:, :, 0])
 
 
 def test_conv3x3_matches_loops():
     rng = np.random.default_rng(5)
     feat = rng.normal(size=(5, 5, 2))
     k = rng.normal(size=18)
-    got = dynamic_conv_3x3(FeatureMap(feat), k)
+    got = conv_one(FeatureMap(feat), k)
     assert np.allclose(got, conv3x3_loops(feat, k), rtol=1e-6, atol=1e-12)
     ints = rng.integers(-4, 5, size=(5, 5, 2)).astype(float)
     ki = rng.integers(-4, 5, size=18).astype(float)
-    assert np.array_equal(
-        dynamic_conv_3x3(FeatureMap(ints), ki), conv3x3_loops(ints, ki)
-    )
+    assert np.array_equal(conv_one(FeatureMap(ints), ki), conv3x3_loops(ints, ki))
+
+
+def test_conv_batch_shape_and_size_from_kernel_length():
+    # D = E is a 1x1 conv and D = 9E a 3x3 conv; n kernels give n maps.
+    rng = np.random.default_rng(6)
+    feat = FeatureMap(rng.integers(-4, 5, size=(4, 5, 3)).astype(float))
+    for d, loops in ((3, conv1x1_loops), (27, conv3x3_loops)):
+        ks = rng.integers(-4, 5, size=(2, d)).astype(float)
+        got = dynamic_conv(feat, ks)
+        assert got.shape == (4, 5, 2)
+        for r in range(2):
+            assert np.array_equal(got[:, :, r], loops(feat.data, ks[r]))
 
 
 def test_conv_kernel_length_mismatch():
     fm = FeatureMap(np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
-        dynamic_conv_1x1(fm, np.zeros(4))
-    with pytest.raises(ValueError):
-        dynamic_conv_3x3(fm, np.zeros(28))
+    for bad in (np.zeros((1, 4)), np.zeros((1, 28)), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="E or 9E"):
+            dynamic_conv(fm, bad)
+    for bad in (np.zeros(3), np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match=r"\(n, D\)"):
+            dynamic_conv(fm, bad)
 
 
 def test_upsample_constant_and_example():
@@ -143,8 +169,14 @@ def test_upsample_matches_loops_exactly(shape):
     assert np.array_equal(_upsample2x(x), upsample2x_loops(x))
 
 
+def plain_norm(feature, groups):
+    """group_norm with the identity affine: scale 1 and shift 0."""
+    c = feature.channels
+    return group_norm(feature, groups, np.ones(c), np.zeros(c))
+
+
 def test_group_norm_constant_input():
-    out = group_norm(FeatureMap(np.full((3, 3, 4), 7.0)), groups=2)
+    out = plain_norm(FeatureMap(np.full((3, 3, 4), 7.0)), groups=2)
     assert np.allclose(out.data, 0.0)
 
 
@@ -152,13 +184,13 @@ def test_group_norm_idempotent_on_normalized():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(8, 8, 4))
     x = (x - x.mean(axis=(0, 1), keepdims=True)) / x.std(axis=(0, 1), keepdims=True)
-    out = group_norm(FeatureMap(x), groups=4)
+    out = plain_norm(FeatureMap(x), groups=4)
     assert np.allclose(out.data, x, atol=1e-3)
 
 
 def test_group_norm_statistics():
     rng = np.random.default_rng(9)
-    out = group_norm(FeatureMap(rng.normal(3.0, 2.5, size=(7, 6, 8))), groups=4).data
+    out = plain_norm(FeatureMap(rng.normal(3.0, 2.5, size=(7, 6, 8))), groups=4).data
     g = out.reshape(7, 6, 4, 2)
     assert np.abs(g.mean(axis=(0, 1, 3))).max() < 1e-6
     assert np.abs(g.var(axis=(0, 1, 3)) - 1.0).max() < 1e-4
@@ -167,18 +199,18 @@ def test_group_norm_statistics():
 def test_group_norm_epsilon():
     # Each group holds only -1 and +1, so its variance is exactly 1.
     x = np.tile([[[-1.0, 1.0, 1.0, -1.0]]], (1, 2, 1))
-    out = group_norm(FeatureMap(x), 2).data
+    out = plain_norm(FeatureMap(x), 2).data
     assert np.array_equal(out, x / np.sqrt(1.0 + GN_EPS))
 
 
 def test_group_norm_affine_and_divisibility():
     x = FeatureMap(np.random.default_rng(0).normal(size=(4, 4, 4)))
-    out = group_norm(x, 2, scale=np.full(4, 2.0), shift=np.full(4, 1.0)).data
-    base = group_norm(x, 2).data
+    out = group_norm(x, 2, np.full(4, 2.0), np.full(4, 1.0)).data
+    base = plain_norm(x, 2).data
     assert np.allclose(out, base * 2.0 + 1.0)
-    for bad in (3, 0, -2, 2.0, True):
+    for bad in (3, 0, -2, 2.0, True, np.int64(2)):
         with pytest.raises(ValueError):
-            group_norm(x, bad)
+            plain_norm(x, bad)
 
 
 @settings(deadline=None)
@@ -214,10 +246,11 @@ def test_group_norm_matches_loops(h, w, groups, per, spread, offset, seed):
     ],
 )
 def test_affine_params_must_be_one_per_channel(scale, shift):
+    # None stands for a well-formed (4,) parameter.
     x = FeatureMap(np.random.default_rng(0).normal(size=(4, 4, 4)))
-    with pytest.raises(ValueError, match="affine"):
-        group_norm(x, 2, scale=scale, shift=shift)
     full = lambda v: np.ones(4) if v is None else v
+    with pytest.raises(ValueError, match="affine"):
+        group_norm(x, 2, full(scale), full(shift))
     with pytest.raises(ValueError, match="affine"):
         NormConvStage(np.zeros((3, 4)), full(scale), full(shift))
 
@@ -438,8 +471,9 @@ def test_kernel_grid_dimension_law():
     KernelGrid(np.zeros((3, 3, 36)), 4)
     with pytest.raises(ValueError):
         KernelGrid(np.zeros((3, 3, 8)), 4)
-    assert KernelGrid(np.zeros((2, 2, 4)), 4).kernel_size == 1
-    assert KernelGrid(np.zeros((2, 2, 36)), 4).kernel_size == 3
+    for bad in (2.5, True, np.int64(2)):
+        with pytest.raises(ValueError, match="feature_channels"):
+            KernelGrid(np.zeros((3, 3, 2)), bad)
 
 
 def test_mask_logit_cutoff_tie_is_foreground():
@@ -519,7 +553,6 @@ def test_assemble_masks_ordering_by_cell_then_category():
 
 def _per_cell_walk(category, kernels, feature):
     """assemble_masks one grid cell at a time, as a reference."""
-    conv = dynamic_conv_1x1 if kernels.kernel_size == 1 else dynamic_conv_3x3
     s = category.grid_size
     out = []
     for k in range(s * s):
@@ -528,7 +561,7 @@ def _per_cell_walk(category, kernels, feature):
         if hits.size == 0:
             continue
         binary = BinaryMask.from_array(
-            mask_foreground(conv(feature, kernels.data[i, j]))
+            mask_foreground(conv_one(feature, kernels.data[i, j]))
         )
         if binary.area:
             out.extend(

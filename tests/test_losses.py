@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskops import LossConfig, dice_loss, focal_loss, total_loss
+from maskops import FOCAL_ALPHA, MASK_WEIGHT, dice_loss, focal_loss, total_loss
 from maskops.masks import BinaryMask
 from maskops.reference import finite_difference_grad
 
@@ -79,14 +79,18 @@ def test_dice_gradient_matches_finite_differences():
 
 
 def test_focal_example_value():
-    loss, _ = focal_loss(0.3, 1, alpha=0.25, gamma=2.0)
+    loss, _ = focal_loss(0.3, 1, gamma=2.0)
     assert round(loss, 5) == 0.14749
 
 
 def test_focal_degenerate_is_cross_entropy():
-    loss, grad = focal_loss(0.3, 1, alpha=1.0, gamma=0.0)
-    assert loss == pytest.approx(-np.log(0.3), abs=1e-15)
-    assert grad == pytest.approx(-1 / 0.3, rel=1e-12)
+    # gamma = 0 leaves cross-entropy weighted by alpha_t.
+    loss, grad = focal_loss(0.3, 1, gamma=0.0)
+    assert loss == pytest.approx(-FOCAL_ALPHA * np.log(0.3), abs=1e-15)
+    assert grad == pytest.approx(-FOCAL_ALPHA / 0.3, rel=1e-12)
+    loss, grad = focal_loss(0.3, 0, gamma=0.0)
+    assert loss == pytest.approx(-(1 - FOCAL_ALPHA) * np.log(0.7), abs=1e-15)
+    assert grad == pytest.approx((1 - FOCAL_ALPHA) / 0.7, rel=1e-12)
 
 
 def test_focal_confident_correct_is_near_zero():
@@ -100,15 +104,11 @@ def test_focal_domain_errors():
             focal_loss(bad, 1)
     with pytest.raises(ValueError):
         focal_loss(0.5, 2)
-    for bad in (-0.1, 1.1, np.nan, -np.inf, np.inf):
-        with pytest.raises(ValueError):
-            focal_loss(0.5, 1, alpha=bad)
     for bad in (-0.1, -1.0, np.nan, -np.inf):
         with pytest.raises(ValueError):
             focal_loss(0.5, 0, gamma=bad)
-    # The ends of the domain stay accepted.
-    for alpha in (0.0, 1.0):
-        focal_loss(0.5, 1, alpha=alpha, gamma=0.0)
+    # The end of the domain stays accepted.
+    focal_loss(0.5, 1, gamma=0.0)
 
 
 def test_focal_monotone_decreasing_in_p_t():
@@ -145,17 +145,7 @@ def test_losses_non_negative():
 
 
 def test_total_loss_reduction():
-    assert total_loss([0.1, 0.3], [0.4], LossConfig(mask_weight=3.0)) == pytest.approx(
-        1.4, abs=1e-12
-    )
+    assert MASK_WEIGHT == 3.0  # SOLOv2's lambda
+    assert total_loss([0.1, 0.3], [0.4]) == pytest.approx(1.4, abs=1e-12)
     assert total_loss([0.2, 0.4], []) == pytest.approx(0.3, abs=1e-12)
-    assert total_loss([0.2], [9.0], LossConfig(mask_weight=0.0)) == pytest.approx(
-        0.2, abs=1e-12
-    )
-
-
-def test_loss_config_validation():
-    for bad in (-1.0, np.nan, -np.inf):
-        with pytest.raises(ValueError):
-            LossConfig(mask_weight=bad)
-    assert LossConfig(mask_weight=0.0).mask_weight == 0.0
+    assert total_loss([], [0.5]) == pytest.approx(1.5, abs=1e-12)

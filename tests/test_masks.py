@@ -16,6 +16,7 @@ from maskops import (
     rle_decode,
     rle_encode,
 )
+from maskops.masks import require_int
 
 
 def random_mask(rng, max_dim=20):
@@ -265,3 +266,35 @@ def test_box_validation():
         Box(-1, 0, 1, 1)
     with pytest.raises(ValueError):
         box_to_mask(Box(0, 0, 5, 5), 4, 4)
+
+
+NOT_EXACT_INTS = [2.5, True, np.int64(2)]
+
+
+@pytest.mark.parametrize("bad", NOT_EXACT_INTS)
+def test_require_int_rejects_non_ints(bad):
+    assert require_int(2, "n", 1) == 2
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
+        require_int(bad, "n", 1)
+    with pytest.raises(ValueError, match="got 0"):
+        require_int(0, "n", 1)
+
+
+@pytest.mark.parametrize("bad", NOT_EXACT_INTS)
+@pytest.mark.parametrize("field", ["height", "width"])
+def test_mask_dims_are_exact_ints(field, bad):
+    # A float height once reached rle_decode as a TypeError, and a bool one
+    # was written to a mask-set file as JSON true.
+    dims = {"height": 2, "width": 2, field: bad}
+    with pytest.raises(ValueError, match=field):
+        BinaryMask(dims["height"], dims["width"], np.zeros(1, dtype=np.uint64))
+    with pytest.raises(ValueError, match=field):
+        RleMask(dims["height"], dims["width"], (4,))
+
+
+@pytest.mark.parametrize("bad", NOT_EXACT_INTS)
+@pytest.mark.parametrize("field", ["x_min", "y_min", "x_max", "y_max"])
+def test_box_coordinates_are_exact_ints(field, bad):
+    coords = {"x_min": 0, "y_min": 0, "x_max": 3, "y_max": 3, field: bad}
+    with pytest.raises(ValueError, match=field):
+        Box(**coords)
