@@ -258,8 +258,8 @@ def grid_index(i: int, j: int, grid_size: int) -> int:
 def coord_channels(height: int, width: int) -> FeatureMap:
     """Two channels of pixel coordinates mapped linearly to [-1, 1]:
     channel 0 = x (column), channel 1 = y (row). A size-1 axis maps to 0."""
-    if height < 1 or width < 1:
-        raise ValueError("dims must be >= 1")
+    require_int(height, "height", 1)
+    require_int(width, "width", 1)
 
     def axis(n: int) -> np.ndarray:
         if n == 1:

@@ -179,30 +179,52 @@ class IoUMatrix:
 def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
     """All-pairs IoU over a mask list, upper triangle only.
 
-    Row i popcounts only mask i's word span: the words from its first to
-    its last non-zero word. Mask i has no bit outside that span, so every
-    intersection there is zero and the cropped popcount is exact. An empty
+    A mask's word span runs from its first to its last non-zero word; it
+    has no bit outside it, so every intersection there is zero. An empty
     mask's span is the whole row; its intersections are zero either way.
+
+    The masks are visited in order of their first word (`lo`). In that
+    order, the masks after k that start at or past k's exclusive end `hi`
+    are a suffix, and none of them can meet mask k. So row k popcounts only
+    the rows between k and that suffix, and only over k's span. The counts
+    are exact integers, each IoU is one float64 division of them, and the
+    result is permuted back to the input order, so the matrix equals the
+    all-pairs one bit for bit.
     """
     n = len(masks)
     out = np.zeros((n, n), dtype=np.float64)
-    if n > 1:
-        first = masks[0]
-        for m in masks[1:]:
-            _check_same_dims(first, m)
-        words = np.stack([m.words for m in masks])
-        areas = np.array([m.area for m in masks], dtype=np.int64)
-        nz = words != 0
-        lo = nz.argmax(axis=1)
-        hi = words.shape[1] - nz[:, ::-1].argmax(axis=1)
-        for i in range(n - 1):
-            span = slice(lo[i], hi[i])
-            inter = np.bitwise_count(words[i, span] & words[i + 1 :, span]).sum(
-                axis=1, dtype=np.int64
-            )
-            union = areas[i] + areas[i + 1 :] - inter
-            np.divide(inter, union, out=out[i, i + 1 :], where=union > 0)
-    return IoUMatrix(out)
+    if n < 2:
+        return IoUMatrix(out)
+    first = masks[0]
+    for m in masks[1:]:
+        _check_same_dims(first, m)
+    # At most one stack of words is held beside `out`: the score-order one
+    # is dropped once the spans are read, and each temporary once used.
+    nz = np.stack([m.words for m in masks]) != 0
+    lo = nz.argmax(axis=1)
+    hi = nz.shape[1] - nz[:, ::-1].argmax(axis=1)
+    del nz
+    order = np.argsort(lo, kind="stable")
+    slo, shi = lo[order], hi[order]
+    stop = np.searchsorted(slo, shi)
+    words = np.stack([masks[i].words for i in order])
+    # `out` holds sorted-order intersections, then IoUs, until the
+    # permutation. Counts and areas are integers below 2**53, so float64
+    # holds them, and forms each union, exactly.
+    for k in range(n - 1):
+        span = slice(slo[k], shi[k])
+        out[k, k + 1 : stop[k]] = np.bitwise_count(
+            words[k, span] & words[k + 1 : stop[k], span]
+        ).sum(axis=1, dtype=np.int64)
+    del words
+    areas = np.array([m.area for m in masks], dtype=np.float64)[order]
+    union = np.add.outer(areas, areas)
+    union -= out
+    np.divide(out, union, out=out, where=union > 0)
+    del union
+    out += out.T
+    inv = np.argsort(order)
+    return IoUMatrix(np.triu(out[np.ix_(inv, inv)], 1))
 
 
 @dataclass(frozen=True)

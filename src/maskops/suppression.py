@@ -29,8 +29,10 @@ class ScoredMask:
     category: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.score <= 1.0:
-            raise ValueError("score must be in (0, 1]")
+        # bool passes the range check (True == 1) but is not a score: a
+        # mask-set file would store it as JSON true, which its reader rejects.
+        if isinstance(self.score, (bool, np.bool_)) or not 0.0 < self.score <= 1.0:
+            raise ValueError(f"score must be a number in (0, 1], got {self.score!r}")
         require_int(self.category, "category", 0)
 
 

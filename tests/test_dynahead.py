@@ -78,6 +78,14 @@ def test_coord_channels_values():
     assert one.data[0, 0, 0] == 0.0 and one.data[0, 0, 1] == 0.0
 
 
+@pytest.mark.parametrize("bad", [2.5, True, np.int64(3)])
+@pytest.mark.parametrize("field", ["height", "width"])
+def test_coord_channels_dims_are_exact_ints(field, bad):
+    dims = {"height": 3, "width": 3, field: bad}
+    with pytest.raises(ValueError, match=field):
+        coord_channels(**dims)
+
+
 def test_coord_channels_antisymmetry():
     cc = coord_channels(5, 7).data
     assert np.array_equal(cc[:, ::-1, 0], -cc[:, :, 0])

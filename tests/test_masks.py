@@ -9,7 +9,9 @@ from maskops import (
     BinaryMask,
     Box,
     RleMask,
+    SceneSpec,
     box_to_mask,
+    gen_scene,
     mask_iou,
     mask_to_box,
     pairwise_iou_matrix,
@@ -190,8 +192,59 @@ def _iou_stacks(draw):
     return draw(st.lists(_span_mask(h, w), max_size=12))
 
 
-@settings(deadline=None)
-@given(_iou_stacks())
+@st.composite
+def _word_span_stacks(draw):
+    """Up to 24 masks whose word spans are new, equal to an earlier mask's,
+    nested in it, share its first word, or start on its last word; some are
+    empty. Each mask sets every `step`-th pixel from a pixel in its first
+    word to one in its last, so its span is exactly the drawn one."""
+    h, w = draw(st.sampled_from([(8, 64), (3, 130), (5, 77)]))
+    n = h * w
+    last_word = (n - 1) // 64
+    spans, masks = [], []
+    for _ in range(draw(st.integers(0, 24))):
+        flat = np.zeros(n, dtype=bool)
+        kind = draw(st.sampled_from(["empty", "new", "equal", "nested", "first", "on_last"]))
+        if kind != "empty":
+            if kind == "new" or not spans:
+                a = draw(st.integers(0, last_word))
+                b = draw(st.integers(a, last_word))
+            else:
+                a, b = draw(st.sampled_from(spans))
+                if kind == "nested":
+                    a = draw(st.integers(a, b))
+                    b = draw(st.integers(a, b))
+                elif kind == "first":
+                    b = draw(st.integers(a, last_word))
+                elif kind == "on_last":
+                    a, b = b, draw(st.integers(b, last_word))
+            spans.append((a, b))
+            start = draw(st.integers(64 * a, min(64 * a + 63, n - 1)))
+            end = draw(st.integers(max(start, 64 * b), min(64 * b + 63, n - 1)))
+            step = draw(st.integers(1, 5))
+            flat[start : end + 1 : step] = True
+            flat[end] = True
+        masks.append(BinaryMask.from_array(flat.reshape(h, w)))
+    return masks
+
+
+def _rows(h, w, *row_sets):
+    """One h x w mask per set of full rows (64-pixel rows are whole words)."""
+    out = []
+    for rows in row_sets:
+        arr = np.zeros((h, w), dtype=bool)
+        arr[list(rows)] = True
+        out.append(BinaryMask.from_array(arr))
+    return out
+
+
+# Rows 0-1 and row 1: the second mask starts on the first one's last word.
+# Rows 2, 0-2 and 1-2: first words 2, 0, 1, so the visiting order is a
+# 3-cycle, not its own inverse.
+@settings(deadline=None, max_examples=200)
+@given(_iou_stacks() | _word_span_stacks())
+@example(_rows(2, 64, [0, 1], [1]))
+@example(_rows(3, 64, [2], [0, 1, 2], [1, 2]))
 def test_pairwise_span_crop_matches_mask_iou(masks):
     got = pairwise_iou_matrix(masks).values
     assert got.shape == (len(masks), len(masks))
@@ -221,6 +274,22 @@ def test_iou_is_symmetric(masks):
             assert mask_iou(a, masks[j]) == mask_iou(masks[j], a)
             if j > i:
                 assert got[i, j] == mask_iou(masks[j], a)
+
+
+def test_pairwise_iou_peak_memory():
+    # The crowd_suppress scene: 125 instances x (1 + 3 duplicates) at
+    # 256x256. One stack of the masks' words is held at a time, beside at
+    # most three n x n matrices of 8-byte entries.
+    spec = SceneSpec(height=256, width=256, num_instances=125, num_duplicates_per_instance=3)
+    masks = [m.mask for m in gen_scene(spec)]
+    n = len(masks)
+    tracemalloc.start()
+    try:
+        pairwise_iou_matrix(masks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * masks[0].words.nbytes + 3 * n * n * 8
 
 
 def test_pairwise_empty_and_single():

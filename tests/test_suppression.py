@@ -336,6 +336,10 @@ def test_scored_mask_validation():
         ScoredMask(DUMMY, 0.0)
     with pytest.raises(ValueError):
         ScoredMask(DUMMY, 1.2)
+    # bool passes 0 < s <= 1, but a mask-set file would store it as JSON true.
+    for score in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="score"):
+            ScoredMask(DUMMY, score)
     for category in (-1, 1.5, True, np.int64(1), "1"):
         with pytest.raises(ValueError, match="category"):
             ScoredMask(DUMMY, 0.5, category)
