@@ -85,7 +85,11 @@ def mask_set_from_dict(doc: dict) -> list:
 
 def read_mask_set(path) -> list:
     with open(path) as f:
-        return mask_set_from_dict(json.load(f))
+        try:
+            doc = json.load(f)
+        except RecursionError as exc:  # arrays or objects nested too deeply
+            raise ValueError(f"malformed mask set: {exc}") from exc
+    return mask_set_from_dict(doc)
 
 
 def kept_to_dict(masks: Sequence[ScoredMask], result: SuppressionResult) -> dict:

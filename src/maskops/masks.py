@@ -167,7 +167,8 @@ class IoUMatrix:
             raise ValueError("values must be a square float64 matrix")
         if np.any(np.tril(v) != 0.0):
             raise ValueError("diagonal and lower triangle must be zero")
-        if np.any(v < 0.0) or np.any(v > 1.0):
+        # One min and one max, not two comparisons: NaN fails both tests.
+        if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
             raise ValueError("IoU entries must lie in [0, 1]")
         v.setflags(write=False)
 
@@ -179,17 +180,18 @@ class IoUMatrix:
 def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
     """All-pairs IoU over a mask list, upper triangle only.
 
-    A mask's word span runs from its first to its last non-zero word; it
-    has no bit outside it, so every intersection there is zero. An empty
-    mask's span is the whole row; its intersections are zero either way.
+    When the width is a multiple of 64, each image row is `cols` whole
+    words, and word c of every row forms strip c; otherwise the whole mask
+    is one strip. A pair's intersection is the sum of its per-strip counts,
+    and a mask with no bit in a strip skips it.
 
-    The masks are visited in order of their first word (`lo`). In that
-    order, the masks after k that start at or past k's exclusive end `hi`
-    are a suffix, and none of them can meet mask k. So row k popcounts only
-    the rows between k and that suffix, and only over k's span. The counts
-    are exact integers, each IoU is one float64 division of them, and the
-    result is permuted back to the input order, so the matrix equals the
-    all-pairs one bit for bit.
+    Within a strip, a mask's word span runs from its first to its last
+    non-zero word, and the masks are visited in order of their first word
+    (`lo`). In that order, the masks after k that start at or past k's
+    exclusive end `hi` are a suffix, and none of them can meet mask k. So
+    row k popcounts only the rows between k and that suffix, and only over
+    k's span. The counts are exact integers and each IoU is one float64
+    division of them, so the matrix equals the all-pairs one bit for bit.
     """
     n = len(masks)
     out = np.zeros((n, n), dtype=np.float64)
@@ -198,33 +200,41 @@ def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
     first = masks[0]
     for m in masks[1:]:
         _check_same_dims(first, m)
-    # At most one stack of words is held beside `out`: the score-order one
-    # is dropped once the spans are read, and each temporary once used.
-    nz = np.stack([m.words for m in masks]) != 0
-    lo = nz.argmax(axis=1)
-    hi = nz.shape[1] - nz[:, ::-1].argmax(axis=1)
-    del nz
-    order = np.argsort(lo, kind="stable")
-    slo, shi = lo[order], hi[order]
-    stop = np.searchsorted(slo, shi)
-    words = np.stack([masks[i].words for i in order])
-    # `out` holds sorted-order intersections, then IoUs, until the
-    # permutation. Counts and areas are integers below 2**53, so float64
-    # holds them, and forms each union, exactly.
-    for k in range(n - 1):
-        span = slice(slo[k], shi[k])
-        out[k, k + 1 : stop[k]] = np.bitwise_count(
-            words[k, span] & words[k + 1 : stop[k], span]
-        ).sum(axis=1, dtype=np.int64)
-    del words
-    areas = np.array([m.area for m in masks], dtype=np.float64)[order]
+    cols = first.width // _WORD_BITS if first.width % _WORD_BITS == 0 else 1
+    # Counts and areas are integers below 2**53, so float64 holds them, and
+    # sums them across strips and forms each union, exactly.
+    areas = np.zeros(n, dtype=np.float64)
+    # `out` gathers each pair's count at (i, j) or (j, i), in whichever
+    # order a strip visits the pair; the mirror below adds the two. Only
+    # one strip's words are held at a time.
+    for c in range(cols):
+        strip = np.array([m.words[c::cols] for m in masks])
+        areas += np.bitwise_count(strip).sum(axis=1, dtype=np.int64)
+        nz = strip != 0
+        idx = np.flatnonzero(nz.any(axis=1))
+        nz = nz[idx]
+        lo = nz.argmax(axis=1)
+        hi = nz.shape[1] - nz[:, ::-1].argmax(axis=1)
+        order = np.argsort(lo, kind="stable")
+        idx, lo, hi = idx[order], lo[order], hi[order]
+        words = strip[idx]
+        del strip, nz
+        stop = np.searchsorted(lo, hi)
+        inter = np.zeros((idx.size, idx.size), dtype=np.float64)
+        for k in range(idx.size - 1):
+            span = slice(lo[k], hi[k])
+            inter[k, k + 1 : stop[k]] = np.bitwise_count(
+                words[k, span] & words[k + 1 : stop[k], span]
+            ).sum(axis=1, dtype=np.int64)
+        del words
+        out[np.ix_(idx, idx)] += inter
+        del inter
+    out += out.T
     union = np.add.outer(areas, areas)
     union -= out
     np.divide(out, union, out=out, where=union > 0)
     del union
-    out += out.T
-    inv = np.argsort(order)
-    return IoUMatrix(np.triu(out[np.ix_(inv, inv)], 1))
+    return IoUMatrix(np.triu(out, 1))
 
 
 @dataclass(frozen=True)

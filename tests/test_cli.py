@@ -129,6 +129,18 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["suppress"], ["bench", "--scene"]])
+def test_deeply_nested_input_exits_2(tmp_path, capsys, command):
+    # 3000 nested arrays once escaped json.load as a RecursionError.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000)
+    code, out, err = run_cli([*command, str(deep)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed mask set: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("dims", [(0, 4), (4, -5), (0, -5), (0, 0)])
 def test_empty_mask_set_with_bad_dims_exits_2(tmp_path, capsys, dims):
     bad = tmp_path / "empty.json"

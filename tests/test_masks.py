@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from maskops import (
     BinaryMask,
     Box,
+    IoUMatrix,
     RleMask,
     SceneSpec,
     box_to_mask,
@@ -228,6 +229,45 @@ def _word_span_stacks(draw):
     return masks
 
 
+@st.composite
+def _strip_stacks(draw):
+    """Up to 16 masks of h x 64*cols pixels (cols 1-4), so each row is
+    `cols` whole words and word c of each row lies in strip c. A mask is
+    empty, full, one pixel, a rectangle inside one word column or one
+    crossing column boundaries, or a rectangle in an earlier rectangle's
+    column that starts on its first row (same first word in that strip) or
+    on its last row (starts on its last word there)."""
+    h = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 4))
+    spans, masks = [], []  # spans: (column, first row, last row)
+    for _ in range(draw(st.integers(0, 16))):
+        arr = np.zeros((h, 64 * cols), dtype=bool)
+        kind = draw(st.sampled_from(
+            ["empty", "full", "pixel", "inside", "across", "first", "on_last"]
+        ))
+        if kind == "full":
+            arr[:] = True
+        elif kind == "pixel":
+            arr[draw(st.integers(0, h - 1)), draw(st.integers(0, 64 * cols - 1))] = True
+        elif kind != "empty":
+            if kind in ("first", "on_last") and spans:
+                c, a, b = draw(st.sampled_from(spans))
+                y0 = a if kind == "first" else b
+                y1 = draw(st.integers(y0, h - 1))
+                c0 = c1 = c
+            else:
+                y0 = draw(st.integers(0, h - 1))
+                y1 = draw(st.integers(y0, h - 1))
+                c0 = draw(st.integers(0, cols - 1))
+                c1 = c0 if kind == "inside" else draw(st.integers(c0, cols - 1))
+            x0 = draw(st.integers(64 * c0, 64 * c0 + 63))
+            x1 = draw(st.integers(max(x0, 64 * c1), 64 * c1 + 63))
+            arr[y0 : y1 + 1, x0 : x1 + 1] = True
+            spans += [(c, y0, y1) for c in range(c0, c1 + 1)]
+        masks.append(BinaryMask.from_array(arr))
+    return masks
+
+
 def _rows(h, w, *row_sets):
     """One h x w mask per set of full rows (64-pixel rows are whole words)."""
     out = []
@@ -240,11 +280,12 @@ def _rows(h, w, *row_sets):
 
 # Rows 0-1 and row 1: the second mask starts on the first one's last word.
 # Rows 2, 0-2 and 1-2: first words 2, 0, 1, so the visiting order is a
-# 3-cycle, not its own inverse.
-@settings(deadline=None, max_examples=200)
-@given(_iou_stacks() | _word_span_stacks())
+# 3-cycle, not its own inverse. At width 128 each pair meets in both strips.
+@settings(deadline=None, max_examples=300)
+@given(_iou_stacks() | _word_span_stacks() | _strip_stacks())
 @example(_rows(2, 64, [0, 1], [1]))
 @example(_rows(3, 64, [2], [0, 1, 2], [1, 2]))
+@example(_rows(3, 128, [2], [0, 1, 2], [1, 2]))
 def test_pairwise_span_crop_matches_mask_iou(masks):
     got = pairwise_iou_matrix(masks).values
     assert got.shape == (len(masks), len(masks))
@@ -278,8 +319,9 @@ def test_iou_is_symmetric(masks):
 
 def test_pairwise_iou_peak_memory():
     # The crowd_suppress scene: 125 instances x (1 + 3 duplicates) at
-    # 256x256. One stack of the masks' words is held at a time, beside at
-    # most three n x n matrices of 8-byte entries.
+    # 256x256, so 4 strips. One strip's stack of words (a quarter of the
+    # masks') is held at a time, beside at most three n x n matrices of
+    # 8-byte entries.
     spec = SceneSpec(height=256, width=256, num_instances=125, num_duplicates_per_instance=3)
     masks = [m.mask for m in gen_scene(spec)]
     n = len(masks)
@@ -289,12 +331,38 @@ def test_pairwise_iou_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * masks[0].words.nbytes + 3 * n * n * 8
+    assert peak < n * masks[0].words.nbytes // 4 + 3 * n * n * 8
 
 
 def test_pairwise_empty_and_single():
     assert pairwise_iou_matrix([]).n == 0
     assert pairwise_iou_matrix([BinaryMask.from_array([[1]])]).n == 1
+
+
+@pytest.mark.parametrize(
+    "cell, value, message",
+    [
+        ((0, 1), np.nan, r"\[0, 1\]"),
+        ((0, 1), -0.5, r"\[0, 1\]"),
+        ((0, 1), 1.5, r"\[0, 1\]"),
+        ((0, 1), np.inf, r"\[0, 1\]"),
+        ((1, 1), np.nan, "lower triangle"),
+        ((1, 0), np.nan, "lower triangle"),
+        ((1, 0), 0.5, "lower triangle"),
+    ],
+)
+def test_iou_matrix_rejects_bad_entries(cell, value, message):
+    values = np.zeros((2, 2))
+    values[cell] = value
+    with pytest.raises(ValueError, match=message):
+        IoUMatrix(values)
+
+
+def test_iou_matrix_accepts_bounds_and_empty():
+    assert IoUMatrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.25], [0.0, 0.0, 0.0]])).n == 3
+    assert IoUMatrix(np.zeros((0, 0))).n == 0
+    with pytest.raises(ValueError, match="square float64"):
+        IoUMatrix(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize(
