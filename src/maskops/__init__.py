@@ -9,6 +9,7 @@ from .masks import (
     box_to_mask,
     mask_iou,
     mask_to_box,
+    masks_to_boxes,
     pairwise_iou_matrix,
     rle_decode,
     rle_encode,
@@ -55,7 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryMask", "Box", "IoUMatrix", "RleMask", "box_to_mask",
-    "mask_iou", "mask_to_box", "pairwise_iou_matrix",
+    "mask_iou", "mask_to_box", "masks_to_boxes", "pairwise_iou_matrix",
     "rle_decode", "rle_encode",
     "DecayFn", "ScoredMask", "SuppressionConfig", "SuppressionResult",
     "fast_nms", "hard_nms", "matrix_nms", "soft_nms", "sort_by_score",

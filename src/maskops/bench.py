@@ -265,6 +265,11 @@ def _failures(bad: list, cases: int, what: str) -> tuple:
 
 @_check("rle-round-trip", 300)
 def _rle_round_trip(rng, cases):
+    """`cases` masks through encode and decode one at a time, then
+    `cases // 10` sets of 1-8 masks (widths 1-200) through
+    `formats.mask_set_from_dict`, each mask checked against the `np.repeat`
+    decoder. The sets draw from a spawned stream, which leaves `rng`'s own
+    draws to the checks after this one."""
     bad = []
     for case in range(cases):
         h, w = (int(v) for v in rng.integers(1, 33, 2))
@@ -277,7 +282,26 @@ def _rle_round_trip(rng, cases):
         back = rle_decode(first)
         if back != mask or rle_encode(back) != first:
             bad.append(case)
-    return _failures(bad, cases, "masks: decode restores them, re-encode is identical")
+    sets = cases // 10
+    bad_sets = []
+    sub = rng.spawn(1)[0]
+    for case in range(sets):
+        h, w = int(sub.integers(1, 9)), int(sub.integers(1, 201))
+        # Densities 0 and 1 give all-empty and all-full masks.
+        density = sub.choice([0.0, 1.0, sub.uniform(0.0, 1.0)], int(sub.integers(1, 9)))
+        masks = [BinaryMask.from_array(sub.random((h, w)) < d) for d in density]
+        counts = [list(rle_encode(m).counts) for m in masks]
+        doc = {"height": h, "width": w,
+               "instances": [{"counts": c, "score": 0.5} for c in counts]}
+        got = [m.mask for m in formats.mask_set_from_dict(doc)]
+        want = [reference.rle_decode_repeat(c, h, w) for c in counts]
+        if got != want or got != masks:
+            bad_sets.append(case)
+    passed, detail = _failures(bad, cases, "masks: decode restores them, re-encode is identical")
+    sets_passed, sets_detail = _failures(
+        bad_sets, sets, "sets of 1-8 masks: the set reader decodes like np.repeat"
+    )
+    return passed and sets_passed, f"{detail}; {sets_detail}"
 
 
 @_check("pairwise-iou", 40)

@@ -129,7 +129,7 @@ def _cmd_suppress(args) -> int:
         for row in doc["kept"]:
             lines.append(
                 f"{row['index']:>6} {row['score']:>10.6f} {row['category']:>8}  "
-                f"{','.join(str(v) for v in row['box'])}"
+                f"{'-' if row['box'] is None else ','.join(map(str, row['box']))}"
             )
         _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .masks import BinaryMask, Box, mask_to_box, require_int
+from .masks import BinaryMask, Box, masks_to_boxes, require_int
 from .suppression import ScoredMask, SuppressionConfig, suppress
 
 
@@ -521,7 +521,10 @@ def inference_pipeline(
     """fuse_pyramid -> assemble_masks -> suppress -> boxes, deterministically."""
     masks = assemble_masks(category, kernels, fuse_pyramid(pyramid))
     result = suppress(masks, config)
+    kept = [masks[i] for i in result.kept_indices]
+    # assemble_masks drops empty masks, so every kept mask has a box.
+    boxes = masks_to_boxes([m.mask for m in kept])
     return [
-        Instance(masks[i].mask, mask_to_box(masks[i].mask), s, masks[i].category)
-        for i, s in zip(result.kept_indices, result.updated_scores)
+        Instance(m.mask, box, s, m.category)
+        for m, box, s in zip(kept, boxes, result.updated_scores)
     ]

@@ -8,10 +8,10 @@ from typing import Sequence
 from .dynahead import Instance
 from .masks import (
     MAX_MASK_SET_PIXELS,
-    RleMask,
-    mask_to_box,
+    decode_counts,
+    mask_to_box,  # noqa: F401 - perfbench's traced run wraps formats.mask_to_box
+    masks_to_boxes,
     require_int,
-    rle_decode,
     rle_encode,
 )
 from .suppression import ScoredMask, SuppressionResult
@@ -52,12 +52,15 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
 
 def mask_set_from_dict(doc: dict) -> list:
     """Parse a mask-set document. Dimensions, counts and categories must be
-    JSON integers, dimensions at least 1 even for an empty set, and scores
-    JSON numbers; nothing is coerced. A set that
+    JSON integers, dimensions at least 1 even for an empty set, counts JSON
+    lists and scores JSON numbers; nothing is coerced. A set that
     would decode to more than MAX_MASK_SET_PIXELS pixels is rejected. Every
-    rejection is a ValueError starting with "malformed mask set"."""
+    rejection is a ValueError starting with "malformed mask set".
+
+    The whole set is checked and decoded at once (`masks.decode_counts`):
+    the masks' words are the rows of one shared read-only block."""
     try:
-        # Checked here, not only by RleMask, so an empty set is held to it too.
+        # Checked here, not only by decode_counts, so an empty set is held to it too.
         h = require_int(doc["height"], "height", 1)
         w = require_int(doc["width"], "width", 1)
         instances = doc["instances"]
@@ -66,18 +69,16 @@ def mask_set_from_dict(doc: dict) -> list:
                 f"{len(instances)} masks of {h}x{w} exceed "
                 f"{MAX_MASK_SET_PIXELS} pixels"
             )
+        counts = [e["counts"] for e in instances]
+        for c in counts:
+            if type(c) is not list:
+                raise ValueError(f"counts must be a list, got {type(c).__name__}")
         masks = []
-        for e in instances:
-            counts, score = e["counts"], e["score"]
+        for e, mask in zip(instances, decode_counts(counts, h, w)):
+            score = e["score"]
             if type(score) not in (int, float):
                 raise ValueError(f"score must be a number, got {score!r}")
-            masks.append(
-                ScoredMask(
-                    rle_decode(RleMask(h, w, counts)),
-                    float(score),
-                    e.get("category", 0),
-                )
-            )
+            masks.append(ScoredMask(mask, float(score), e.get("category", 0)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed mask set: {exc}") from exc
     return masks
@@ -93,16 +94,18 @@ def read_mask_set(path) -> list:
 
 
 def kept_to_dict(masks: Sequence[ScoredMask], result: SuppressionResult) -> dict:
-    """Suppression output record; indices reference the input mask set."""
+    """Suppression output record; indices reference the input mask set. An
+    empty kept mask has no box: its "box" is None (JSON null)."""
+    indices = result.kept_indices
+    boxes = masks_to_boxes([masks[i].mask for i in indices])
     kept = []
-    for i, s in zip(result.kept_indices, result.updated_scores):
-        box = mask_to_box(masks[i].mask)
+    for i, s, box in zip(indices, result.updated_scores, boxes):
         kept.append(
             {
                 "index": i,
                 "score": s,
                 "category": masks[i].category,
-                "box": [box.x_min, box.y_min, box.x_max, box.y_max],
+                "box": None if box is None else [box.x_min, box.y_min, box.x_max, box.y_max],
             }
         )
     return {"kept": kept}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +16,11 @@ _WORD_BITS = 64
 # every count. 2**27 admits up to 436 masks of 640x480. The mask-set reader
 # and `SceneSpec` both apply it.
 MAX_MASK_SET_PIXELS = 1 << 27
+
+# Bytes of scratch space `decode_counts` and `masks_to_boxes` work through:
+# each takes as many masks at a time as fit (at least one), so neither holds
+# a temporary the size of the whole set.
+_SCRATCH_BYTES = 1 << 17
 
 
 def require_int(value, name: str, minimum: int) -> int:
@@ -37,8 +43,10 @@ def _pack_rows(flat: np.ndarray) -> np.ndarray:
 
 
 def _unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
-    raw = words.view(np.uint8)[: (count + 7) // 8]
-    return np.unpackbits(raw, count=count, bitorder="little").astype(bool)
+    """The first `count` bits of each row of an (n, words) block, as an
+    (n, count) boolean array."""
+    raw = words.view(np.uint8)[:, : (count + 7) // 8]
+    return np.unpackbits(raw, axis=1, count=count, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +84,7 @@ class BinaryMask:
         return cls(arr.shape[0], arr.shape[1], _pack_rows(flat))
 
     def to_array(self) -> np.ndarray:
-        bits = _unpack_rows(self.words, self.height * self.width)
+        bits = _unpack_rows(self.words[None], self.height * self.width)
         return bits.reshape(self.height, self.width)
 
     @cached_property
@@ -113,20 +121,103 @@ class RleMask:
         require_int(self.width, "width", 1)
         counts = tuple(self.counts)
         object.__setattr__(self, "counts", counts)
-        # require_int's exact-type rule, applied to all counts at once.
-        if not set(map(type, counts)) <= {int}:
-            raise ValueError("counts must be integers")
-        if not counts:
-            raise ValueError("counts must be non-empty")
-        if counts[0] < 0 or any(c <= 0 for c in counts[1:]):
-            raise ValueError("only the leading count may be zero")
-        if sum(counts) != self.height * self.width:
-            raise ValueError("counts must sum to height*width")
+        _checked_counts([counts], self.height * self.width)
+
+
+def _checked_counts(count_lists: Sequence[Sequence], pixels: int) -> tuple:
+    """All counts of a set of RLE masks of `pixels` pixels each, as one flat
+    int64 array, and the index in it just past each mask's last count; a
+    ValueError unless every mask's counts follow the RleMask rules."""
+    lengths = np.array([len(c) for c in count_lists], dtype=np.int64)
+    flat = list(chain.from_iterable(count_lists))
+    # require_int's exact-type rule, applied to all counts at once.
+    if not set(map(type, flat)) <= {int}:
+        raise ValueError("counts must be integers")
+    if not lengths.all():
+        raise ValueError("counts must be non-empty")
+    try:
+        counts = np.array(flat, dtype=np.int64)
+    except OverflowError:  # a Python int past int64, so far outside [0, pixels]
+        raise ValueError(f"counts must lie in [0, {pixels}]") from None
+    del flat
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # Bounded counts also bound each sum below, so no int64 sum wraps around.
+    if counts.size and counts.max() > pixels:
+        raise ValueError(f"counts must lie in [0, {pixels}]")
+    bad = counts <= 0
+    bad[starts] = counts[starts] < 0
+    if bad.any():
+        raise ValueError("only the leading count may be zero")
+    if np.any(np.add.reduceat(counts, starts) != pixels):
+        raise ValueError("counts must sum to height*width")
+    return counts, ends
+
+
+def _prefix_xor(toggles: np.ndarray, scratch: np.ndarray):
+    """Turn each row of an (m, words) block of toggle bits, in place, into
+    the prefix XOR of its bits: each bit becomes the parity of the toggles
+    at or before it in its row. `scratch` has at least m rows."""
+    tmp = scratch[: toggles.shape[0]]
+    for shift in (1, 2, 4, 8, 16, 32):
+        np.left_shift(toggles, shift, out=tmp)
+        toggles ^= tmp
+    # Each word's top bit is now the parity of its toggles; the running XOR
+    # of the top bits, all ones where it is odd, flips the row's next word.
+    # The flat views keep the XOR unbuffered; the zeroed last column keeps
+    # each row's parity out of the next row.
+    np.right_shift(toggles, _WORD_BITS - 1, out=tmp)
+    np.bitwise_xor.accumulate(tmp, axis=1, out=tmp)
+    np.negative(tmp, out=tmp)
+    tmp[:, -1] = 0
+    toggles.reshape(-1)[1:] ^= tmp.reshape(-1)[:-1]
+
+
+def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> list:
+    """Check the RLE counts of a set of height x width masks, one sequence
+    per mask, with RleMask's rules, and decode them without expanding any
+    pixel to a byte. The masks' words are the rows of one read-only
+    (n, words) uint64 block.
+
+    Every run end but a mask's last flips the pixel value, so each sets one
+    toggle bit. A prefix XOR of the toggles then gives the pixels: within a
+    word by six shift-XOR steps, across words by XORing in the parity of the
+    same mask's earlier words. The masks are done a few at a time, so the
+    arrays made from their counts stay small."""
+    require_int(height, "height", 1)
+    require_int(width, "width", 1)
+    pixels = height * width
+    n, n_words = len(count_lists), (pixels + _WORD_BITS - 1) // _WORD_BITS
+    pad = n_words * _WORD_BITS - pixels
+    block = np.zeros((n, n_words), dtype=np.uint64)
+    rows = max(1, _SCRATCH_BYTES // (8 * n_words))
+    scratch = np.empty((min(rows, n), n_words), dtype=np.uint64)
+    for top in range(0, n, rows):
+        part = block[top : top + rows]
+        counts, ends = _checked_counts(count_lists[top : top + rows], pixels)
+        # With each mask's padding added to its last run, the running sum of
+        # the counts is the toggle's bit index in `part`.
+        last = ends - 1
+        counts[last] += pad
+        toggles = np.delete(np.cumsum(counts, out=counts), last)
+        word = toggles >> 6
+        bits = toggles.view(np.uint64)
+        np.left_shift(np.uint64(1), bits & np.uint64(63), out=bits)
+        # Toggle indices increase, so each word's toggles are one run of them.
+        new_word = np.ones(word.size, dtype=bool)
+        np.not_equal(word[1:], word[:-1], out=new_word[1:])
+        first = np.flatnonzero(new_word)
+        part.reshape(-1)[word[first]] = np.bitwise_or.reduceat(bits, first)
+        _prefix_xor(part, scratch)
+    if pad:  # a mask that ends in foreground has set its padding bits
+        block[:, -1] &= np.uint64((1 << (_WORD_BITS - pad)) - 1)
+    block.setflags(write=False)
+    return [BinaryMask(height, width, words) for words in block]
 
 
 def rle_encode(mask: BinaryMask) -> RleMask:
-    flat = _unpack_rows(mask.words, mask.height * mask.width).astype(np.int8)
-    edges = np.flatnonzero(np.diff(flat)) + 1
+    flat = _unpack_rows(mask.words[None], mask.height * mask.width)[0]
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1  # where a new run starts
     bounds = np.concatenate(([0], edges, [flat.size]))
     counts = np.diff(bounds)
     if flat[0]:  # leading zero-length background run
@@ -135,11 +226,7 @@ def rle_encode(mask: BinaryMask) -> RleMask:
 
 
 def rle_decode(rle: RleMask) -> BinaryMask:
-    counts = np.asarray(rle.counts, dtype=np.int64)
-    # Repeat bools, not ints: the expanded mask is then 1 byte per pixel.
-    values = np.arange(counts.size) % 2 == 1  # background first
-    flat = np.repeat(values, counts)
-    return BinaryMask(rle.height, rle.width, _pack_rows(flat))
+    return decode_counts([rle.counts], rle.height, rle.width)[0]
 
 
 def _check_same_dims(a: BinaryMask, b: BinaryMask):
@@ -253,14 +340,39 @@ class Box:
             raise ValueError("box max must be >= min on both axes")
 
 
+def masks_to_boxes(masks: Sequence[BinaryMask]) -> list:
+    """Tight bounding box of each mask's foreground, None for an empty mask.
+    The masks must share dimensions; they are unpacked a few at a time."""
+    if not masks:
+        return []
+    h, w = masks[0].height, masks[0].width
+    for m in masks[1:]:
+        _check_same_dims(masks[0], m)
+    step = max(1, _SCRATCH_BYTES // (h * w))
+    boxes = []
+    for top in range(0, len(masks), step):
+        words = np.array([m.words for m in masks[top : top + step]])
+        bits = _unpack_rows(words, h * w).reshape(-1, h, w)
+        ys, xs = bits.any(axis=2), bits.any(axis=1)
+        x_min, y_min = xs.argmax(axis=1).tolist(), ys.argmax(axis=1).tolist()
+        # The first set pixel from the far end, counted back from that end.
+        x_back = xs[:, ::-1].argmax(axis=1).tolist()
+        y_back = ys[:, ::-1].argmax(axis=1).tolist()
+        boxes += [
+            Box(x0, y0, w - 1 - xb, h - 1 - yb) if any_set else None
+            for x0, y0, xb, yb, any_set in zip(
+                x_min, y_min, x_back, y_back, ys.any(axis=1).tolist()
+            )
+        ]
+    return boxes
+
+
 def mask_to_box(mask: BinaryMask) -> Box:
     """Tight bounding box of the foreground; raises on an empty mask."""
-    arr = mask.to_array()
-    ys = np.flatnonzero(arr.any(axis=1))
-    xs = np.flatnonzero(arr.any(axis=0))
-    if ys.size == 0:
+    (box,) = masks_to_boxes([mask])
+    if box is None:
         raise ValueError("empty mask has no bounding box")
-    return Box(int(xs[0]), int(ys[0]), int(xs[-1]), int(ys[-1]))
+    return box
 
 
 def box_to_mask(box: Box, height: int, width: int) -> BinaryMask:

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynahead import GN_EPS, MASK_THRESHOLD, PyramidLevels, coord_channels
-from .masks import mask_iou
+from .masks import BinaryMask, Box, mask_iou
 from .suppression import ScoredMask
 
 
@@ -45,6 +45,24 @@ def naive_matrix_decay(
                 decay = term
         updated.append(scores[j] * decay)
     return updated
+
+
+def rle_decode_repeat(counts: Sequence[int], height: int, width: int) -> BinaryMask:
+    """Decode one mask's RLE counts by expanding every run to its pixels
+    (background first) with `np.repeat`, then packing them."""
+    values = np.arange(len(counts)) % 2 == 1
+    flat = np.repeat(values, np.asarray(counts, dtype=np.int64))
+    return BinaryMask.from_array(flat.reshape(height, width))
+
+
+def mask_box(mask: BinaryMask) -> Box | None:
+    """Tight bounding box read from the mask's pixels; None if it is empty."""
+    arr = mask.to_array()
+    ys = np.flatnonzero(arr.any(axis=1))
+    xs = np.flatnonzero(arr.any(axis=0))
+    if ys.size == 0:
+        return None
+    return Box(int(xs[0]), int(ys[0]), int(xs[-1]), int(ys[-1]))
 
 
 def greedy_keep(masks: Sequence[ScoredMask], iou_threshold: float) -> list:

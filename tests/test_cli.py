@@ -71,6 +71,26 @@ def test_suppress_matrix_reduces_duplicates(tmp_path, capsys):
         assert set(row) == {"index", "score", "category", "box"}
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_suppress_keeps_an_empty_mask_without_a_box(tmp_path, capsys, fmt):
+    # An all-background instance is a valid mask; it once made `suppress`
+    # exit 2 with "empty mask has no bounding box".
+    path = tmp_path / "empty.json"
+    doc = {"height": 4, "width": 4, "instances": [
+        {"counts": [16], "score": 0.9, "category": 0},
+        {"counts": [5, 2, 9], "score": 0.8, "category": 0},
+    ]}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["suppress", str(path), "--format", fmt], capsys)
+    assert code == 0, err
+    if fmt == "json":
+        kept = json.loads(out)["kept"]
+        assert [(row["index"], row["box"]) for row in kept] == [(0, None), (1, [1, 1, 2, 1])]
+    else:
+        rows = [line.split() for line in out.strip().splitlines()[1:]]
+        assert [(row[0], row[-1]) for row in rows] == [("0", "-"), ("1", "1,1,2,1")]
+
+
 def test_suppress_table_format(tmp_path, capsys):
     path = gen_scene_file(tmp_path, capsys)
     code, out, _ = run_cli(["suppress", str(path), "--format", "table"], capsys)

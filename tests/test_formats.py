@@ -1,8 +1,10 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maskops import (
@@ -13,9 +15,11 @@ from maskops import (
     mask_iou,
     matrix_nms,
     pairwise_iou_matrix,
+    rle_encode,
     sort_by_score,
 )
-from maskops import formats
+from maskops import formats, reference
+from maskops import masks as masks_module
 from maskops.formats import (
     instances_to_dict,
     kept_to_dict,
@@ -210,6 +214,85 @@ def test_mask_set_dict_round_trip(case):
     assert mask_set_from_dict(doc) == masks
 
 
+@st.composite
+def _rle_sets(draw):
+    """h x w (w 1-200) and the RLE counts of 1-8 masks: empty, full, random
+    pixels, or up to 12 runs that start in background or, after a leading
+    zero, in foreground, and so end in either."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 200))
+    n = h * w
+    sets = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["empty", "full", "random", "runs"]))
+        if kind == "empty":
+            counts = [n]
+        elif kind == "full":
+            counts = [0, n]
+        elif kind == "random":
+            arr = draw(arrays(bool, (h, w)))
+            counts = list(rle_encode(BinaryMask.from_array(arr)).counts)
+        else:
+            cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=12))) if n > 1 else []
+            counts = np.diff([0, *cuts, n]).tolist()
+            if draw(st.booleans()):
+                counts = [0, *counts]
+        sets.append(counts)
+    return h, w, sets
+
+
+# Masks that end in foreground, each followed by another mask: at widths
+# that leave padding in the last word (1x3, 3x70) and one that leaves none
+# (1x64), where a mask's last word runs straight into the next mask's first.
+@settings(deadline=None, max_examples=300)
+@given(_rle_sets(), st.sampled_from([1, 300, 1 << 17]))
+@example((1, 3, [[1, 2], [3], [0, 3], [2, 1]]), 1 << 17)
+@example((1, 64, [[0, 64], [64], [63, 1], [0, 1, 63]]), 1 << 17)
+@example((3, 70, [[0, 210], [5, 205], [0, 140, 70], [210]]), 1)
+def test_mask_set_decodes_like_repeat(case, scratch):
+    h, w, sets = case
+    doc = {"height": h, "width": w,
+           "instances": [{"counts": c, "score": 0.5} for c in sets]}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masks_module, "_SCRATCH_BYTES", scratch)
+        got = mask_set_from_dict(doc)
+    want = [reference.rle_decode_repeat(c, h, w) for c in sets]
+    assert [m.mask for m in got] == want
+
+
+def test_mask_set_shares_one_read_only_block():
+    doc = {"height": 2, "width": 3,
+           "instances": [{"counts": [1, 5], "score": 0.5}, {"counts": [6], "score": 0.4}]}
+    a, b = (m.mask for m in mask_set_from_dict(doc))
+    assert a.words.base is b.words.base
+    assert not a.words.flags.writeable and not a.words.base.flags.writeable
+
+
+@pytest.mark.parametrize("counts", ["55", (5, 5), {"5": 5}, 10])
+def test_mask_set_counts_must_be_a_list(counts):
+    doc = {"height": 1, "width": 10, "instances": [{"counts": counts, "score": 0.5}]}
+    with pytest.raises(ValueError, match="malformed mask set: counts must be a list"):
+        mask_set_from_dict(doc)
+
+
+def test_mask_set_from_dict_peak_memory():
+    # 300 masks of 128x128: the 614 KB block of words, a 128 KB scratch and
+    # the count arrays of 64 masks at a time. This document reads 1.05 MB;
+    # decoding the whole set in one chunk reads 2.4 MB, and one byte per
+    # pixel would be 4.9 MB.
+    scene = gen_scene(SceneSpec(height=128, width=128, num_instances=60,
+                                num_duplicates_per_instance=4, seed=0))
+    doc = json.loads(to_json(mask_set_to_dict(scene)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        masks = mask_set_from_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [m.mask for m in masks] == [m.mask for m in scene]
+    assert peak < 1_300_000
+
+
 def test_mask_set_bad_rle_counts():
     # Structurally fine JSON whose counts violate the run-length invariants.
     doc = {"height": 2, "width": 2, "instances": [{"score": 0.5, "counts": [1, 1]}]}
@@ -230,6 +313,16 @@ def test_kept_to_dict():
         assert entry["index"] == i
         assert entry["score"] == s
         assert entry["box"] == [box.x_min, box.y_min, box.x_max, box.y_max]
+
+
+def test_kept_to_dict_writes_no_box_for_an_empty_mask():
+    doc = {"height": 2, "width": 3,
+           "instances": [{"counts": [6], "score": 0.9}, {"counts": [1, 2, 3], "score": 0.8}]}
+    masks = mask_set_from_dict(doc)
+    result = matrix_nms(masks, pairwise_iou_matrix([m.mask for m in masks]), DecayFn())
+    assert result.kept_indices == (0, 1)
+    kept = kept_to_dict(masks, result)["kept"]
+    assert [row["box"] for row in kept] == [None, [1, 0, 2, 0]]
 
 
 def test_instances_to_dict_round_trip():

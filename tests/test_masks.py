@@ -15,10 +15,14 @@ from maskops import (
     gen_scene,
     mask_iou,
     mask_to_box,
+    masks_to_boxes,
     pairwise_iou_matrix,
     rle_decode,
     rle_encode,
 )
+from maskops import masks as masks_module
+from maskops import reference
+from maskops.formats import mask_set_from_dict
 from maskops.masks import require_int
 
 
@@ -81,27 +85,48 @@ def test_rle_round_trip_random():
         assert rle_encode(back) == rle
 
 
+# Each RleMask rule with its message; `mask_set_from_dict` applies the same
+# rules (tests/test_formats.py).
+RLE_VALIDATION_CASES = [
+    (2, 2, (4, 1), "sum to height"),       # sum exceeds h*w
+    (2, 2, (2, 0, 2), "only the leading"),  # interior zero
+    (2, 2, (), "non-empty"),                # empty
+    (2, 2, (1, -1, 4), "only the leading"),  # negative
+    (1, 4, (2.9, 2.0), "integers"),         # floats, once truncated to (2, 2)
+    (1, 4, (2.0, 2), "integers"),           # integral float
+    (1, 2, (True, 1), "integers"),          # bool
+    (1, 4, (np.int64(4),), "integers"),
+    (1, 4, (-1, 5), "lie in"),              # negative, and a count past h*w
+    (1, 4, (-1,), "only the leading"),      # negative leading count
+    (1, 4, (5,), "lie in"),                 # one count past h*w
+    (1, 4, (2**70,), "lie in"),             # past int64
+    # Four counts of 2**62 wrap an int64 sum back to 4.
+    (1, 4, (4, 2**62, 2**62, 2**62, 2**62), "lie in"),
+]
+
+
 @pytest.mark.parametrize(
-    "h,w,counts",
-    [
-        (2, 2, (4, 1)),      # sum exceeds h*w
-        (2, 2, (2, 0, 2)),   # interior zero
-        (2, 2, ()),          # empty
-        (2, 2, (1, -1, 4)),  # negative
-        (1, 4, (2.9, 2.0)),  # floats, once truncated to (2, 2)
-        (1, 4, (2.0, 2)),    # integral float
-        (1, 2, (True, 1)),   # bool
-        (1, 4, (np.int64(4),)),
-    ],
+    "h,w,counts,message",
+    RLE_VALIDATION_CASES,
+    ids=[f"{h}-{w}-counts{i}" for i, (h, w, _, _) in enumerate(RLE_VALIDATION_CASES)],
 )
-def test_rle_validation(h, w, counts):
-    with pytest.raises(ValueError):
+def test_rle_validation(h, w, counts, message):
+    with pytest.raises(ValueError, match=message):
         RleMask(h, w, counts)
 
 
+@pytest.mark.parametrize("h,w,counts,message", RLE_VALIDATION_CASES)
+def test_mask_set_reader_applies_the_rle_rules(h, w, counts, message):
+    # A valid mask first, so the bad one is not the set's first.
+    instances = [{"counts": [h * w], "score": 0.5}, {"counts": list(counts), "score": 0.5}]
+    doc = {"height": h, "width": w, "instances": instances}
+    with pytest.raises(ValueError, match=f"malformed mask set: .*{message}"):
+        mask_set_from_dict(doc)
+
+
 def test_rle_decode_peak_memory():
-    # A 2048x2048 mask of three runs: decoding expands to one byte per pixel
-    # before packing to bits, never to an integer per pixel.
+    # A 2048x2048 mask of three runs: decoding sets one toggle bit per run
+    # end in the packed words and never expands a pixel to a byte.
     n = 2048 * 2048
     rle = RleMask(2048, 2048, (1000, n - 2000, 1000))
     tracemalloc.start()
@@ -111,7 +136,7 @@ def test_rle_decode_peak_memory():
     finally:
         tracemalloc.stop()
     assert mask.area == n - 2000
-    assert peak < 2 * n
+    assert peak < n // 2
 
 
 def test_rle_leading_zero_allowed():
@@ -386,6 +411,29 @@ def test_mask_to_box_full():
 def test_mask_to_box_empty_raises():
     with pytest.raises(ValueError):
         mask_to_box(BinaryMask.from_array(np.zeros((2, 2))))
+
+
+# A scratch of 1 byte boxes one mask at a time; 2**17 is the default.
+@settings(deadline=None, max_examples=200)
+@given(_iou_stacks() | _strip_stacks(), st.sampled_from([1, 300, 1 << 17]))
+def test_masks_to_boxes_matches_the_pixels(masks, scratch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masks_module, "_SCRATCH_BYTES", scratch)
+        got = masks_to_boxes(masks)
+    want = [reference.mask_box(m) for m in masks]
+    assert got == want
+    assert [box is None for box in got] == [m.area == 0 for m in masks]
+    for m, box in zip(masks, got):
+        if box is not None:
+            assert mask_to_box(m) == box
+
+
+def test_masks_to_boxes_needs_shared_dims():
+    a = BinaryMask.from_array(np.ones((2, 2)))
+    b = BinaryMask.from_array(np.ones((2, 3)))
+    assert masks_to_boxes([]) == []
+    with pytest.raises(ValueError, match="share dimensions"):
+        masks_to_boxes([a, b])
 
 
 def test_box_paint_round_trip():
