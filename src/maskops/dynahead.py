@@ -197,8 +197,8 @@ class FusionWeights:
     def seeded(
         cls, num_levels: int, channels: int, out_channels: int, seed: int = 0
     ) -> "FusionWeights":
-        """Deterministic pseudo-random weights (stand-in for trained ones)."""
-        rng = np.random.default_rng(seed)
+        """Deterministic weights from an int seed >= 0 (stand-in for trained ones)."""
+        rng = np.random.default_rng(require_int(seed, "seed", 0))
 
         def stage(shape: tuple) -> NormConvStage:
             fan_in = math.prod(shape[:-1])
@@ -277,34 +277,34 @@ def coord_channels(height: int, width: int) -> FeatureMap:
 
 def dynamic_conv(feature: FeatureMap, kernels) -> np.ndarray:
     """The (H, W, n) logits of n dynamic kernels, the rows of the (n, D)
-    `kernels`, against the (H, W, E) feature, as one product with no bias.
+    `kernels`, against the (H, W, E) feature, as one `_conv` with no bias.
 
-    D sets the kernel size (`_kernel_side`). 1x1 kernels are one
-    (HW x E) @ (E x n) GEMM; 3x3 kernels are one `_conv3x3` with cout = n,
-    a cross-correlation with zero padding 1, so the output keeps H x W. A
-    GEMM column may differ from the one-kernel product in the last bits,
-    which depend on n and on the column's place; the conv-vs-loops check
-    bounds the gap at a relative 1e-6 and requires integer inputs to match
-    the loop oracle exactly."""
+    D sets the kernel size (`_kernel_side`). A GEMM column may differ from
+    the one-kernel product in the last bits, which depend on n and on the
+    column's place; the conv-vs-loops check bounds the gap at a relative
+    1e-6 and requires integer inputs to match the loop oracle exactly."""
     k = np.asarray(kernels, dtype=np.float64)
     if k.ndim != 2:
         raise ValueError("kernels must be an (n, D) array")
-    x = feature.data
-    h, w, e = x.shape
-    n = k.shape[0]
+    n, e = k.shape[0], feature.channels
     if _kernel_side(k.shape[1], e) == 1:
-        return (x.reshape(h * w, e) @ k.T).reshape(h, w, n)
-    return _conv3x3(x, k.reshape(n, 3, 3, e).transpose(1, 2, 3, 0))
+        return _conv(feature.data, k.T)
+    return _conv(feature.data, k.reshape(n, 3, 3, e).transpose(1, 2, 3, 0))
 
 
-def _conv3x3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The (H, W, cout) cross-correlation of the (H, W, cin) map x with a
+    (cin, cout) 1x1 kernel, one GEMM, or a (3, 3, cin, cout) 3x3 kernel, one
+    product per tap over x zero-padded by 1, so the output keeps H x W."""
     h, w, cin = x.shape
+    if kernel.ndim == 2:
+        return (x.reshape(h * w, cin) @ kernel).reshape(h, w, kernel.shape[1])
     padded = np.zeros((h + 2, w + 2, cin), dtype=np.float64)
     padded[1:-1, 1:-1] = x
-    out = np.zeros((h, w, k.shape[3]), dtype=np.float64)
+    out = np.zeros((h, w, kernel.shape[3]), dtype=np.float64)
     for dy in range(3):
         for dx in range(3):
-            out += padded[dy : dy + h, dx : dx + w] @ k[dy, dx]
+            out += padded[dy : dy + h, dx : dx + w] @ kernel[dy, dx]
     return out
 
 
@@ -341,41 +341,35 @@ def group_norm(feature: FeatureMap, groups: int, scale, shift) -> FeatureMap:
     """Normalize each channel group to mean 0 / variance 1 over
     (spatial x group-channels), then apply the per-channel affine scale and
     shift."""
-    _check_groups(groups, feature.channels)
-    out = _group_norm(feature.data, groups)
-    out *= _affine(scale, feature.channels)
-    out += _affine(shift, feature.channels)
-    return FeatureMap(out)
+    c = feature.channels
+    _check_groups(groups, c)
+    scale, shift = _affine(scale, c), _affine(shift, c)
+    return FeatureMap(_group_norm(feature.data, groups, scale, shift))
 
 
-def _group_norm(x: np.ndarray, groups: int) -> np.ndarray:
-    """A new array: x with each group of channels centered and divided by
-    sqrt(variance + GN_EPS), both taken over (pixels x group channels).
-
-    Both sums run along the pixel axis first, giving one value per channel
-    (the means as one BLAS product), and then over each group's channels."""
+def _group_norm(x: np.ndarray, groups: int, scale, shift) -> np.ndarray:
+    """A new array: x with each group of channels centered, then times the
+    per-channel scale / sqrt(variance + GN_EPS) in one multiply, plus shift.
+    The mean, then the variance of the centered values (precise even when
+    the mean dwarfs the spread), sum along the pixel axis first, one value per
+    channel (the means as one BLAS product), then over each group."""
     h, w, c = x.shape
     per = c // groups
     count = h * w * per
     flat = x.reshape(h * w, c)
     mean = (np.ones(h * w) @ flat).reshape(groups, per).sum(axis=1) / count
-    centered = flat - np.repeat(mean, per)
-    squares = np.einsum("ij,ij->j", centered, centered)
+    out = flat - np.repeat(mean, per)
+    squares = np.einsum("ij,ij->j", out, out)
     var = squares.reshape(groups, per).sum(axis=1) / count
-    centered /= np.repeat(np.sqrt(var + GN_EPS), per)
-    return centered.reshape(h, w, c)
+    out *= scale / np.repeat(np.sqrt(var + GN_EPS), per)
+    out += shift
+    return out.reshape(h, w, c)
 
 
 def _norm_conv_relu(x: np.ndarray, st: NormConvStage, groups: int) -> np.ndarray:
-    """conv -> group norm -> affine -> ReLU, in place after the conv."""
+    """conv -> group norm and its affine -> ReLU, in place after the conv."""
     # FusionWeights and PyramidLevels have checked every shape on the way here.
-    if st.kernel.ndim == 4:
-        x = _conv3x3(x, st.kernel)
-    else:
-        x = x @ st.kernel
-    x = _group_norm(x, groups)
-    x *= st.gn_scale
-    x += st.gn_shift
+    x = _group_norm(_conv(x, st.kernel), groups, st.gn_scale, st.gn_shift)
     return np.maximum(x, 0.0, out=x)
 
 

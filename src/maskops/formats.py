@@ -7,7 +7,8 @@ from typing import Sequence
 
 from .dynahead import Instance
 from .masks import (
-    MAX_MASK_SET_PIXELS,
+    check_mask_set_size,
+    check_same_dims,
     decode_counts,
     mask_to_box,  # noqa: F401 - perfbench's traced run wraps formats.mask_to_box
     masks_to_boxes,
@@ -33,29 +34,25 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
         return {"height": height, "width": width, "instances": []}
     h, w = masks[0].mask.height, masks[0].mask.width
     if height not in (None, h) or width not in (None, w):
-        raise ValueError(
-            f"dimensions {height}x{width} differ from the masks' {h}x{w}"
-        )
-    instances = []
-    for m in masks:
-        if (m.mask.height, m.mask.width) != (h, w):
-            raise ValueError("all masks in a set must share dimensions")
-        instances.append(
-            {
-                "score": m.score,
-                "category": m.category,
-                "counts": list(rle_encode(m.mask).counts),
-            }
-        )
+        raise ValueError(f"dimensions {height}x{width} differ from the masks' {h}x{w}")
+    check_same_dims(*(m.mask for m in masks))
+    instances = [
+        {
+            "score": m.score,
+            "category": m.category,
+            "counts": list(rle_encode(m.mask).counts),
+        }
+        for m in masks
+    ]
     return {"height": h, "width": w, "instances": instances}
 
 
 def mask_set_from_dict(doc: dict) -> list:
     """Parse a mask-set document. Dimensions, counts and categories must be
     JSON integers, dimensions at least 1 even for an empty set, counts JSON
-    lists and scores JSON numbers; nothing is coerced. A set that
-    would decode to more than MAX_MASK_SET_PIXELS pixels is rejected. Every
-    rejection is a ValueError starting with "malformed mask set".
+    lists and scores JSON numbers; nothing is coerced. A set that would
+    decode to more than `masks.MAX_MASK_SET_PIXELS` pixels is rejected.
+    Every rejection is a ValueError starting with "malformed mask set".
 
     The whole set is checked and decoded at once (`masks.decode_counts`):
     the masks' words are the rows of one shared read-only block."""
@@ -64,11 +61,7 @@ def mask_set_from_dict(doc: dict) -> list:
         h = require_int(doc["height"], "height", 1)
         w = require_int(doc["width"], "width", 1)
         instances = doc["instances"]
-        if h * w * len(instances) > MAX_MASK_SET_PIXELS:
-            raise ValueError(
-                f"{len(instances)} masks of {h}x{w} exceed "
-                f"{MAX_MASK_SET_PIXELS} pixels"
-            )
+        check_mask_set_size(h, w, len(instances))
         counts = [e["counts"] for e in instances]
         for c in counts:
             if type(c) is not list:

@@ -14,7 +14,7 @@ _WORD_BITS = 64
 # Most pixels, height * width * instances, one mask set may decode to. Run
 # lengths are non-negative and sum to height * width, so this also bounds
 # every count. 2**27 admits up to 436 masks of 640x480. The mask-set reader
-# and `SceneSpec` both apply it.
+# and `SceneSpec` both apply it through `check_mask_set_size`.
 MAX_MASK_SET_PIXELS = 1 << 27
 
 # Bytes of scratch space `decode_counts` and `masks_to_boxes` work through:
@@ -32,6 +32,14 @@ def require_int(value, name: str, minimum: int) -> int:
     if type(value) is not int or value < minimum:
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
     return value
+
+
+def check_mask_set_size(height: int, width: int, count: int):
+    """A ValueError if `count` masks of height x width exceed MAX_MASK_SET_PIXELS."""
+    if height * width * count > MAX_MASK_SET_PIXELS:
+        raise ValueError(
+            f"{count} masks of {height}x{width} exceed {MAX_MASK_SET_PIXELS} pixels"
+        )
 
 
 def _pack_rows(flat: np.ndarray) -> np.ndarray:
@@ -229,14 +237,15 @@ def rle_decode(rle: RleMask) -> BinaryMask:
     return decode_counts([rle.counts], rle.height, rle.width)[0]
 
 
-def _check_same_dims(a: BinaryMask, b: BinaryMask):
-    if a.height != b.height or a.width != b.width:
+def check_same_dims(first: BinaryMask, *rest: BinaryMask):
+    """A ValueError unless every mask has `first`'s height and width."""
+    if any(m.height != first.height or m.width != first.width for m in rest):
         raise ValueError("masks must share dimensions")
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     """Exact intersection-over-union via popcounts on the packed words."""
-    _check_same_dims(a, b)
+    check_same_dims(a, b)
     inter = int(np.bitwise_count(a.words & b.words).sum(dtype=np.int64))
     union = a.area + b.area - inter
     return inter / union if union else 0.0
@@ -284,10 +293,8 @@ def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
     out = np.zeros((n, n), dtype=np.float64)
     if n < 2:
         return IoUMatrix(out)
-    first = masks[0]
-    for m in masks[1:]:
-        _check_same_dims(first, m)
-    cols = first.width // _WORD_BITS if first.width % _WORD_BITS == 0 else 1
+    check_same_dims(*masks)
+    cols = masks[0].width // _WORD_BITS if masks[0].width % _WORD_BITS == 0 else 1
     # Counts and areas are integers below 2**53, so float64 holds them, and
     # sums them across strips and forms each union, exactly.
     areas = np.zeros(n, dtype=np.float64)
@@ -345,9 +352,8 @@ def masks_to_boxes(masks: Sequence[BinaryMask]) -> list:
     The masks must share dimensions; they are unpacked a few at a time."""
     if not masks:
         return []
+    check_same_dims(*masks)
     h, w = masks[0].height, masks[0].width
-    for m in masks[1:]:
-        _check_same_dims(masks[0], m)
     step = max(1, _SCRATCH_BYTES // (h * w))
     boxes = []
     for top in range(0, len(masks), step):

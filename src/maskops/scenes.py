@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import MAX_MASK_SET_PIXELS, BinaryMask, require_int
+from .masks import BinaryMask, check_mask_set_size, require_int
 from .suppression import ScoredMask
 
 SHAPES = ("rectangle", "ellipse")
@@ -17,7 +17,7 @@ SHAPES = ("rectangle", "ellipse")
 class SceneSpec:
     """Parameters for one synthetic scene.
 
-    The dimensions and both counts are exact Python ints. Every base
+    The dimensions, both counts and the seed are exact Python ints. Every base
     instance is replicated num_duplicates_per_instance extra times
     with jittered position, size and score, so the scene contains
     num_instances * (1 + num_duplicates_per_instance) masks in total, and
@@ -39,6 +39,7 @@ class SceneSpec:
             ("width", 8),
             ("num_instances", 0),
             ("num_duplicates_per_instance", 0),
+            ("seed", 0),
         ):
             require_int(getattr(self, name), name, minimum)
         if self.shape not in SHAPES:
@@ -47,11 +48,7 @@ class SceneSpec:
             raise ValueError(
                 f"score_noise must be finite and >= 0, got {self.score_noise}"
             )
-        if self.height * self.width * self.total_masks > MAX_MASK_SET_PIXELS:
-            raise ValueError(
-                f"{self.total_masks} masks of {self.height}x{self.width} exceed "
-                f"{MAX_MASK_SET_PIXELS} pixels"
-            )
+        check_mask_set_size(self.height, self.width, self.total_masks)
 
     @property
     def total_masks(self) -> int:

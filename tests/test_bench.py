@@ -91,6 +91,20 @@ def test_run_verification_all_pass():
         assert c.passed, f"{c.name}: {c.detail}"
 
 
+def _one_pass_group_norm(x, groups, scale, shift):
+    """`dynahead._group_norm` with the variance taken as E[x^2] - E[x]^2,
+    which cancels most of its bits when the mean is far larger than the
+    spread."""
+    h, w, c = x.shape
+    per = c // groups
+    flat = x.reshape(h * w, c)
+    mean = flat.reshape(h * w, groups, per).mean(axis=(0, 2))
+    var = (flat * flat).reshape(h * w, groups, per).mean(axis=(0, 2)) - mean**2
+    std = np.repeat(np.sqrt(np.maximum(var, 0.0) + dynahead.GN_EPS), per)
+    out = (flat - np.repeat(mean, per)) * (scale / std) + shift
+    return out.reshape(h, w, c)
+
+
 @pytest.mark.parametrize(
     "attr,value,failing",
     [
@@ -108,6 +122,8 @@ def test_run_verification_all_pass():
             ),
             {"conv-vs-loops"},
         ),
+        # Only group-norm-vs-loops draws means 1e3-1e4 times the spread.
+        ("_group_norm", _one_pass_group_norm, {"group-norm-vs-loops"}),
     ],
 )
 def test_fusion_and_conv_checks_catch_a_changed_layer(

@@ -210,6 +210,14 @@ def test_oversized_scene_exits_2(capsys):
     assert err.startswith("error:") and "exceed" in err
 
 
+@pytest.mark.parametrize("command", [["gen", "--instances", "1"], ["verify"]])
+def test_negative_seed_exits_2(capsys, command):
+    code, out, err = run_cli([*command, "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be an int >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("flag", ["--sigma", "--score-threshold"])
 def test_nan_flag_value_exits_2(tmp_path, capsys, flag):
     # NaN fails every comparison, so it must fail the range checks too.

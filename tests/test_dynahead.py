@@ -34,7 +34,7 @@ from maskops.dynahead import (
     GN_EPS,
     GN_GROUPS,
     NormConvStage,
-    _conv3x3,
+    _conv,
     _group_norm,
     _upsample2x,
     mask_foreground,
@@ -288,15 +288,13 @@ def _fuse_by_primitives(pyr):
         for si, st in enumerate(w.stages[li]):
             if si:
                 x = _upsample2x(x)
-            x = _conv3x3(x, st.kernel)
-            x = _group_norm(x, w.groups) * st.gn_scale + st.gn_shift
-            x = np.maximum(x, 0.0)
+            x = _conv(x, st.kernel)
+            x = np.maximum(_group_norm(x, w.groups, st.gn_scale, st.gn_shift), 0.0)
         half = x if half is None else half + x
     acc = pyr.levels[0].data + _upsample2x(half)
+    out = w.output
     return np.maximum(
-        _group_norm(acc @ w.output.kernel, w.groups) * w.output.gn_scale
-        + w.output.gn_shift,
-        0.0,
+        _group_norm(_conv(acc, out.kernel), w.groups, out.gn_scale, out.gn_shift), 0.0
     )
 
 
@@ -328,7 +326,7 @@ def test_fuse_pyramid_single_level():
     weights = FusionWeights(((),), NormConvStage(np.eye(c), np.ones(c), np.zeros(c)))
     x = rng.normal(size=(8, 8, c))
     out = fuse_pyramid(PyramidLevels((FeatureMap(x),), weights))
-    want = np.maximum(_group_norm(x, c), 0.0)
+    want = np.maximum(_group_norm(x, c, np.ones(c), np.zeros(c)), 0.0)
     assert np.allclose(out.data, want)
 
 
@@ -382,6 +380,9 @@ def test_fusion_weights_reject_at_construction(kwargs):
 
 
 def test_seeded_fusion_weights_reject_at_construction():
+    for seed in (True, 1.5, -1, np.int64(1)):
+        with pytest.raises(ValueError, match="seed must be an int >= 0"):
+            FusionWeights.seeded(2, 4, 4, seed=seed)
     with pytest.raises(ValueError):
         FusionWeights.seeded(2, 4, 6)
     with pytest.raises(ValueError):

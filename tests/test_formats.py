@@ -83,8 +83,9 @@ def test_mask_set_explicit_dims_must_match():
 def test_mask_set_rejects_mixed_dims():
     a = ScoredMask(BinaryMask.from_array(np.ones((2, 2), bool)), 0.5)
     b = ScoredMask(BinaryMask.from_array(np.ones((2, 3), bool)), 0.5)
-    with pytest.raises(ValueError):
-        mask_set_to_dict([a, b])
+    for masks in ([a, b], [a, a, b]):
+        with pytest.raises(ValueError, match="masks must share dimensions"):
+            mask_set_to_dict(masks)
 
 
 @pytest.mark.parametrize(
@@ -129,9 +130,9 @@ def test_malformed_mask_set(doc):
 
 def test_mask_set_pixel_cap(monkeypatch):
     # The cap admits a COCO-scale set and the benchmark's largest set.
-    assert 100 * 640 * 480 <= formats.MAX_MASK_SET_PIXELS
-    assert 300 * 128 * 128 <= formats.MAX_MASK_SET_PIXELS
-    monkeypatch.setattr(formats, "MAX_MASK_SET_PIXELS", 20)
+    assert 100 * 640 * 480 <= masks_module.MAX_MASK_SET_PIXELS
+    assert 300 * 128 * 128 <= masks_module.MAX_MASK_SET_PIXELS
+    monkeypatch.setattr(masks_module, "MAX_MASK_SET_PIXELS", 20)
     inst = {"counts": [10], "score": 0.5}
     doc = {"height": 2, "width": 5, "instances": [inst, inst]}
     assert len(mask_set_from_dict(doc)) == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maskops import SceneSpec, gen_scene, mask_iou, sort_by_score
+from maskops import masks as masks_module
 from maskops.reference import greedy_keep
 
 
@@ -68,13 +69,16 @@ def test_spec_validation():
         SceneSpec(num_instances=-1)
     with pytest.raises(ValueError):
         SceneSpec(shape="triangle")
+    # A negative seed once failed inside NumPy, with no field named.
+    with pytest.raises(ValueError, match="seed must be an int >= 0"):
+        SceneSpec(seed=-1)
     for noise in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="score_noise"):
             SceneSpec(score_noise=noise)
 
 
 @pytest.mark.parametrize(
-    "field", ["height", "width", "num_instances", "num_duplicates_per_instance"]
+    "field", ["height", "width", "num_instances", "num_duplicates_per_instance", "seed"]
 )
 @pytest.mark.parametrize("value", [16.5, 1.5, True, np.int64(8)])
 def test_spec_integer_fields_are_exact_ints(field, value):
@@ -99,3 +103,11 @@ def test_spec_pixel_cap():
             SceneSpec(height=h, width=w, num_instances=n, num_duplicates_per_instance=0)
     # An empty scene holds no pixels, whatever its canvas.
     assert gen_scene(SceneSpec(height=100000, width=100000, num_instances=0)) == []
+
+
+def test_spec_pixel_cap_is_the_mask_set_cap(monkeypatch):
+    # The spec reads the cap the mask-set reader applies, not a copy of it.
+    monkeypatch.setattr(masks_module, "MAX_MASK_SET_PIXELS", 128)
+    SceneSpec(height=8, width=8, num_instances=2, num_duplicates_per_instance=0)
+    with pytest.raises(ValueError, match="3 masks of 8x8 exceed 128 pixels"):
+        SceneSpec(height=8, width=8, num_instances=3, num_duplicates_per_instance=0)
