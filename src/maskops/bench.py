@@ -170,8 +170,7 @@ def run_bench(
     The oracle cross-checks run on the sorted scene and its IoU matrix before
     any method is timed.
     """
-    if repeats < 3:
-        raise ValueError("repeats must be >= 3")
+    require_int(repeats, "repeats", 3)
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")

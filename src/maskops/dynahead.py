@@ -13,12 +13,16 @@ from .masks import BinaryMask, Box, masks_to_boxes, require_int
 from .suppression import ScoredMask, SuppressionConfig, suppress
 
 
+def _check_finite(arr: np.ndarray, name: str):
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _as_f64(data, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    _check_finite(arr, name)
     if min(arr.shape) < 1:
         raise ValueError(f"{name} dims must be >= 1")
     arr.setflags(write=False)
@@ -97,10 +101,12 @@ class CategoryGrid:
 
 
 def _affine(values, channels: int) -> np.ndarray:
-    """A group-norm scale or shift: one float64 per channel, shape (channels,)."""
+    """A group-norm scale or shift: one finite float64 per channel, shape
+    (channels,)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (channels,):
         raise ValueError(f"affine params must have shape ({channels},)")
+    _check_finite(arr, "affine params")
     return arr
 
 
@@ -116,6 +122,7 @@ class NormConvStage:
         k = np.asarray(self.kernel, dtype=np.float64)
         if k.ndim not in (2, 4):
             raise ValueError("kernel must be (cin, cout) or (3, 3, cin, cout)")
+        _check_finite(k, "kernel")
         scale = _affine(self.gn_scale, k.shape[-1])
         shift = _affine(self.gn_shift, k.shape[-1])
         for arr in (k, scale, shift):
@@ -286,6 +293,7 @@ def dynamic_conv(feature: FeatureMap, kernels) -> np.ndarray:
     k = np.asarray(kernels, dtype=np.float64)
     if k.ndim != 2:
         raise ValueError("kernels must be an (n, D) array")
+    _check_finite(k, "kernels")
     n, e = k.shape[0], feature.channels
     if _kernel_side(k.shape[1], e) == 1:
         return _conv(feature.data, k.T)

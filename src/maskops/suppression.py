@@ -53,8 +53,9 @@ class DecayFn:
     def penalty(self, iou):
         """f(iou); accepts scalars or arrays.
 
-        Gaussian penalties always go through np.exp so scalar and vectorized
-        call sites produce bit-identical values.
+        `soft_nms` is the only caller. Its gaussian penalty goes through
+        np.exp, not math.exp, so that on 1-2 masks it equals `matrix_nms`'s
+        array np.exp bit for bit (verify's `soft-matrix-n2`).
         """
         if self.kind == "linear":
             return 1.0 - iou
@@ -112,8 +113,7 @@ class SuppressionResult:
 
 def sort_by_score(masks: Sequence[ScoredMask]):
     """Indices that order `masks` by descending score, original order on ties."""
-    order = sorted(range(len(masks)), key=lambda i: (-masks[i].score, i))
-    return list(order)
+    return sorted(range(len(masks)), key=lambda i: (-masks[i].score, i))
 
 
 def _sorted_scores(masks: Sequence[ScoredMask], ious: IoUMatrix) -> np.ndarray:
@@ -240,30 +240,19 @@ def soft_nms(
     penalty = decay.penalty
     alive = list(range(len(masks)))
     kept = []
-    kept_scores = []
     while alive:
-        best = alive[0]
-        for k in alive[1:]:
-            if scores[k] > scores[best]:
-                best = k
-        s = scores[best]
-        if not _keep_mask(s, score_threshold):
+        # `alive` stays in index order, so ties go to the lowest index.
+        best = max(alive, key=scores.__getitem__)
+        if not _keep_mask(scores[best], score_threshold):
             break  # scores only decay; nothing left can pass the keep test
         kept.append(best)
-        kept_scores.append(s)
         alive.remove(best)
-        if not alive:
-            break
-        survivors = []
         for k in alive:
             scores[k] = scores[k] * penalty(sym[best][k])
-            if scores[k] >= score_threshold:
-                survivors.append(k)
-        alive = survivors
-    order = sorted(range(len(kept)), key=lambda t: kept[t])
-    return SuppressionResult(
-        tuple(kept[t] for t in order), tuple(kept_scores[t] for t in order)
-    )
+        alive = [k for k in alive if scores[k] >= score_threshold]
+    # A kept mask is never decayed again, so `scores` holds its kept score.
+    kept.sort()
+    return SuppressionResult(tuple(kept), tuple(scores[k] for k in kept))
 
 
 def run_method(
@@ -298,18 +287,18 @@ def suppress(
     cfg = config or SuppressionConfig()
     if not masks:
         return SuppressionResult((), ())
+    # One sort of the whole pool: each group keeps its (-score, index) order.
     groups = {}
-    for i, m in enumerate(masks):
-        groups.setdefault(0 if cfg.class_agnostic else m.category, []).append(i)
+    for i in sort_by_score(masks):
+        key = 0 if cfg.class_agnostic else masks[i].category
+        groups.setdefault(key, []).append(i)
     pairs = []
     for members in groups.values():
-        order = sort_by_score([masks[i] for i in members])
-        orig = [members[p] for p in order]
-        group = [masks[i] for i in orig]
+        group = [masks[i] for i in members]
         ious = pairwise_iou_matrix([m.mask for m in group])
         res = run_method(cfg.method, group, ious, cfg)
         pairs.extend(
-            (orig[j], s) for j, s in zip(res.kept_indices, res.updated_scores)
+            (members[j], s) for j, s in zip(res.kept_indices, res.updated_scores)
         )
     # hard and fast return their input scores, so the threshold applies here.
     pairs = [(i, s) for i, s in pairs if _keep_mask(s, cfg.score_threshold)]

@@ -54,8 +54,10 @@ def test_methods_disagree_in_checksum():
 
 def test_bad_arguments():
     scene = gen_scene(SMALL)
-    with pytest.raises(ValueError):
-        run_bench(scene, repeats=2)
+    # repeats is an exact int >= 3, checked before anything runs.
+    for repeats in (2, 3.5, 4.0, True):
+        with pytest.raises(ValueError, match="repeats"):
+            run_bench(scene, repeats=repeats)
     with pytest.raises(ValueError):
         run_bench(scene, methods=("bogus",), repeats=3)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Every script in demos/ runs to completion against this checkout's package,
-so removing or renaming a public name cannot break a demo unnoticed."""
+with every warning an error, so removing or renaming a public name, or a
+new warning, cannot slip into a demo unnoticed."""
 
 import os
 import subprocess
@@ -17,7 +18,7 @@ def test_demo_runs(script):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         env=env,
         capture_output=True,
         text=True,

@@ -153,6 +153,14 @@ def test_conv_kernel_length_mismatch():
             dynamic_conv(fm, bad)
 
 
+def test_conv_rejects_non_finite_kernels():
+    # KernelGrid rejects these already; a direct call must not return NaN logits.
+    fm = FeatureMap(np.ones((4, 4, 2)))
+    for bad in ([[np.nan, 1.0]], [[1.0, 2.0], [np.inf, 0.0]], [[-np.inf] * 18]):
+        with pytest.raises(ValueError, match="kernels must be finite"):
+            dynamic_conv(fm, np.array(bad))
+
+
 def test_upsample_constant_and_example():
     const = bilinear_upsample_2x(FeatureMap(np.full((3, 2, 2), 1.5)))
     assert const.data.shape == (6, 4, 2)
@@ -261,6 +269,27 @@ def test_affine_params_must_be_one_per_channel(scale, shift):
         group_norm(x, 2, full(scale), full(shift))
     with pytest.raises(ValueError, match="affine"):
         NormConvStage(np.zeros((3, 4)), full(scale), full(shift))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fusion_weights_must_be_finite(bad):
+    # A non-finite weight fails when the stage is built, with its own name,
+    # not later in fuse_pyramid as a non-finite feature.
+    x = FeatureMap(np.ones((4, 4, 4)))
+    broken = np.ones(4)
+    broken[1] = bad
+    with pytest.raises(ValueError, match="affine params must be finite"):
+        group_norm(x, 2, broken, np.zeros(4))
+    with pytest.raises(ValueError, match="affine params must be finite"):
+        group_norm(x, 2, np.ones(4), broken)
+    with pytest.raises(ValueError, match="affine params must be finite"):
+        NormConvStage(np.zeros((4, 4)), broken, np.zeros(4))
+    with pytest.raises(ValueError, match="affine params must be finite"):
+        NormConvStage(np.zeros((4, 4)), np.ones(4), broken)
+    for kernel in (np.full((4, 4), bad), np.zeros((3, 3, 4, 4))):
+        kernel[..., 0, 0] = bad
+        with pytest.raises(ValueError, match="kernel must be finite"):
+            NormConvStage(kernel, np.ones(4), np.zeros(4))
 
 
 def seeded_pyramid(seed=0, levels=4, channels=4, out_channels=8):

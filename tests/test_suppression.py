@@ -273,9 +273,11 @@ def test_suppress_matches_per_category_runs():
 
 @st.composite
 def _categorized_masks(draw):
-    """Up to 12 non-empty 4x4 masks in up to 4 categories, with distinct scores."""
+    """Up to 12 non-empty 4x4 masks in up to 4 categories. Scores come from
+    a few values, so ties are common and fall back to input index."""
     n = draw(st.integers(1, 12))
-    scores = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n, unique=True))
+    score = st.integers(1, 1000) | st.sampled_from([500, 1000])
+    scores = draw(st.lists(score, min_size=n, max_size=n))
     masks = []
     for score in scores:
         bits = (draw(st.integers(1, 2**16 - 1)) >> np.arange(16)) & 1
@@ -299,6 +301,75 @@ def test_suppress_invariant_to_category_group_order(method, masks, data):
     # Equal updated scores are ordered by input index, which the move changes.
     by_score_then_index = sorted(back, key=lambda t: (-t[1], t[0]))
     assert by_score_then_index == list(zip(want.kept_indices, want.updated_scores))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(deadline=None, max_examples=60)
+@given(masks=_categorized_masks())
+def test_suppress_matches_a_sort_per_group(method, masks):
+    # suppress sorts the pool once; grouping first and sorting each group
+    # must give the same groups in the same (-score, index) order.
+    cfg = SuppressionConfig(method=method, top_k=None)
+    groups = {}
+    for i, m in enumerate(masks):
+        groups.setdefault(m.category, []).append(i)
+    pairs = []
+    for members in groups.values():
+        order = [members[p] for p in sort_by_score([masks[i] for i in members])]
+        group = [masks[i] for i in order]
+        ious = pairwise_iou_matrix([m.mask for m in group])
+        res = run_method(method, group, ious, cfg)
+        pairs += [(order[j], s) for j, s in zip(res.kept_indices, res.updated_scores)]
+    pairs = [t for t in pairs if t[1] > cfg.score_threshold]
+    pairs.sort(key=lambda t: (-t[1], t[0]))
+    got = suppress(masks, cfg)
+    assert list(zip(got.kept_indices, got.updated_scores)) == pairs
+
+
+def _soft_nms_by_hand(scores, vals, decay, score_threshold):
+    """soft_nms's selection loop written out with side lists: the first of
+    equal maxima is selected, and the kept entries are re-sorted by index."""
+    scores = list(scores)
+    sym = (vals + vals.T).tolist()
+    alive = list(range(len(scores)))
+    kept, kept_scores = [], []
+    while alive:
+        best = alive[0]
+        for k in alive[1:]:
+            if scores[k] > scores[best]:
+                best = k
+        s = scores[best]
+        if not (s > score_threshold and s > 0.0):
+            break
+        kept.append(best)
+        kept_scores.append(s)
+        alive.remove(best)
+        if not alive:
+            break
+        survivors = []
+        for k in alive:
+            scores[k] = scores[k] * decay.penalty(sym[best][k])
+            if scores[k] >= score_threshold:
+                survivors.append(k)
+        alive = survivors
+    order = sorted(range(len(kept)), key=lambda t: kept[t])
+    return [kept[t] for t in order], [kept_scores[t] for t in order]
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_soft_nms_matches_the_loop_by_hand(data):
+    n = data.draw(st.integers(0, 10))
+    level = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    drawn = data.draw(st.lists(level, min_size=n * n, max_size=n * n))
+    vals = np.triu(np.reshape(drawn, (n, n)), 1)
+    score = st.sampled_from([0.3, 0.6, 0.9]) | st.floats(0.01, 1.0)
+    scores = sorted(data.draw(st.lists(score, min_size=n, max_size=n)), reverse=True)
+    decay = data.draw(st.sampled_from([DecayFn("gauss", 0.5), DecayFn("linear")]))
+    threshold = data.draw(st.sampled_from([0.0, 0.05, 0.2]))
+    res = soft_nms(scored(*scores), decay, threshold, ious=IoUMatrix(vals))
+    want = _soft_nms_by_hand(scores, vals, decay, threshold)
+    assert (list(res.kept_indices), list(res.updated_scores)) == want
 
 
 def strip(lo, hi, score, width=30):
