@@ -318,19 +318,22 @@ def _pairwise_iou(rng, cases):
         symmetric = direct == mask_iou(masks[j], masks[i])
         if not (symmetric and direct == want and 0.0 <= direct <= 1.0):
             return False, f"mismatch or out of bounds at {(i, j)}"
-    # 128-pixel rows are 2 whole words, so this matrix is built strip by
-    # strip. The scene seed comes from a spawned stream, which leaves `rng`'s
-    # own draws to the checks after this one.
-    seed = int(rng.spawn(1)[0].integers(0, 2**31))
-    spec = SceneSpec(height=32, width=128, num_instances=6, shape="ellipse", seed=seed)
-    wide = [m.mask for m in gen_scene(spec)]
-    got = pairwise_iou_matrix(wide).values
-    for i, j in itertools.combinations(range(len(wide)), 2):
-        if got[i, j] != mask_iou(wide[i], wide[j]):
-            return False, f"32x128 scene: mismatch at {(i, j)}"
+    # Rows of 128 and 100 pixels are 2 words each, so these matrices are
+    # built strip by strip; the second strip of a 100-pixel row holds 36
+    # pixels. The scene seeds come from a spawned stream, which leaves
+    # `rng`'s own draws to the checks after this one.
+    sub = rng.spawn(1)[0]
+    for w in (128, 100):
+        seed = int(sub.integers(0, 2**31))
+        spec = SceneSpec(height=32, width=w, num_instances=6, shape="ellipse", seed=seed)
+        wide = [m.mask for m in gen_scene(spec)]
+        got = pairwise_iou_matrix(wide).values
+        for i, j in itertools.combinations(range(len(wide)), 2):
+            if got[i, j] != mask_iou(wide[i], wide[j]):
+                return False, f"32x{w} scene: mismatch at {(i, j)}"
     return True, (
         f"{cases} masks, all pairs and self-IoU; "
-        f"{len(wide)} ellipses of 32x128 (2 words a row), all pairs"
+        f"{len(wide)} ellipses each of 32x128 and 32x100 (2 words a row), all pairs"
     )
 
 

@@ -31,7 +31,11 @@ def _as_f64(data, name: str, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
-    """Dense H x W x C real feature tensor."""
+    """Dense H x W x C real feature tensor.
+
+    Ownership: a float64 array is wrapped, not copied, and made read-only,
+    even when it is the caller's own; pass a copy to keep yours writable.
+    """
 
     data: np.ndarray
 
@@ -65,7 +69,11 @@ def _kernel_side(d: int, e: int) -> int:
 @dataclass(frozen=True, eq=False)
 class KernelGrid:
     """S x S grid of predicted convolution kernels, one D-vector per cell,
-    for a feature of `feature_channels` = E channels (see `_kernel_side`)."""
+    for a feature of `feature_channels` = E channels (see `_kernel_side`).
+
+    Ownership: a float64 array is wrapped, not copied, and made read-only,
+    even when it is the caller's own; pass a copy to keep yours writable.
+    """
 
     data: np.ndarray
     feature_channels: int
@@ -84,7 +92,11 @@ class KernelGrid:
 
 @dataclass(frozen=True, eq=False)
 class CategoryGrid:
-    """S x S x num_classes category scores in [0, 1]."""
+    """S x S x num_classes category scores in [0, 1].
+
+    Ownership: a float64 array is wrapped, not copied, and made read-only,
+    even when it is the caller's own; pass a copy to keep yours writable.
+    """
 
     data: np.ndarray
 
@@ -112,7 +124,11 @@ def _affine(values, channels: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormConvStage:
-    """One conv's weights plus its group-norm affine parameters."""
+    """One conv's weights plus its group-norm affine parameters.
+
+    Ownership: each float64 array is wrapped, not copied, and made read-only,
+    even when it is the caller's own; pass a copy to keep yours writable.
+    """
 
     kernel: np.ndarray
     gn_scale: np.ndarray

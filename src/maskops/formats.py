@@ -51,7 +51,8 @@ def mask_set_from_dict(doc: dict) -> list:
     """Parse a mask-set document. Dimensions, counts and categories must be
     JSON integers, dimensions at least 1 even for an empty set, counts JSON
     lists and scores JSON numbers; nothing is coerced. A set that would
-    decode to more than `masks.MAX_MASK_SET_PIXELS` pixels is rejected.
+    decode to more than `masks.MAX_MASK_SET_PIXELS` padded pixels (each row
+    padded to whole words) is rejected before anything is decoded.
     Every rejection is a ValueError starting with "malformed mask set".
 
     The whole set is checked and decoded at once (`masks.decode_counts`):

@@ -11,10 +11,12 @@ import numpy as np
 
 _WORD_BITS = 64
 
-# Most pixels, height * width * instances, one mask set may decode to. Run
-# lengths are non-negative and sum to height * width, so this also bounds
-# every count. 2**27 admits up to 436 masks of 640x480. The mask-set reader
-# and `SceneSpec` both apply it through `check_mask_set_size`.
+# Most padded pixels, height * 64 * cols * instances, one mask set may
+# decode to, where each row is padded to `cols` whole words (`_row_words`).
+# Run lengths are non-negative and sum to height * width, so this also bounds
+# every count. 2**27 admits up to 436 masks of 640x480 (an aligned width).
+# The mask-set reader and `SceneSpec` both apply it through
+# `check_mask_set_size`.
 MAX_MASK_SET_PIXELS = 1 << 27
 
 # Bytes of scratch space `decode_counts` and `masks_to_boxes` work through:
@@ -34,36 +36,57 @@ def require_int(value, name: str, minimum: int) -> int:
     return value
 
 
+def _row_words(width: int) -> int:
+    """Words per image row: `cols = ceil(width / 64)`."""
+    return -(-width // _WORD_BITS)
+
+
+def _row_tail(width: int) -> np.uint64:
+    """The pixel bits of a row's last word; the rest are padding."""
+    return np.uint64((1 << ((width - 1) % _WORD_BITS + 1)) - 1)
+
+
 def check_mask_set_size(height: int, width: int, count: int):
-    """A ValueError if `count` masks of height x width exceed MAX_MASK_SET_PIXELS."""
-    if height * width * count > MAX_MASK_SET_PIXELS:
+    """A ValueError if `count` masks of height x width, each row padded to
+    whole words, exceed MAX_MASK_SET_PIXELS."""
+    row = _WORD_BITS * _row_words(width)
+    if height * row * count > MAX_MASK_SET_PIXELS:
         raise ValueError(
-            f"{count} masks of {height}x{width} exceed {MAX_MASK_SET_PIXELS} pixels"
+            f"{count} masks of {height}x{width} (rows padded to {row} pixels) "
+            f"exceed {MAX_MASK_SET_PIXELS} pixels"
         )
 
 
-def _pack_rows(flat: np.ndarray) -> np.ndarray:
-    """Pack a flat boolean array into little-endian uint64 words (zero padded)."""
-    packed = np.packbits(flat, bitorder="little")
-    words = np.zeros((packed.size + 7) // 8, dtype=np.uint64)
-    words.view(np.uint8)[: packed.size] = packed
-    return words
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack an (h, w) boolean array into little-endian uint64 words, each row
+    `cols` whole words with zero padding bits, as an (h * cols,) vector."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    h, n = packed.shape
+    if n % 8:  # zero bytes pad each row to whole words
+        padded = np.zeros((h, n + -n % 8), dtype=np.uint8)
+        padded[:, :n] = packed
+        packed = padded
+    return packed.view(np.uint64).reshape(-1)
 
 
-def _unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` bits of each row of an (n, words) block, as an
-    (n, count) boolean array."""
-    raw = words.view(np.uint8)[:, : (count + 7) // 8]
-    return np.unpackbits(raw, axis=1, count=count, bitorder="little").view(bool)
+def _unpack_rows(words: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The pixels of each row of an (n, h * cols) block of masks' words, as
+    an (n, h, w) boolean array."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little").view(bool)
+    return bits.reshape(len(words), h, -1)[..., :w]
 
 
 @dataclass(frozen=True, eq=False)
 class BinaryMask:
     """An immutable H x W binary mask stored as packed uint64 words.
 
-    Bits are laid out row-major, least-significant bit first, and padding
-    bits in the final word are always zero so popcounts over the raw words
-    are exact areas.
+    Each image row is `cols = ceil(W / 64)` whole words, least-significant
+    bit first, so pixel (y, x) is bit x % 64 of word y * cols + x // 64.
+    The padding bits past W in each row's last word are always zero, so
+    popcounts over the raw words are exact areas.
+
+    Ownership: `words` is wrapped, not copied, and made read-only, even
+    when it is the caller's own; pass a copy to keep yours writable.
     """
 
     height: int
@@ -73,14 +96,14 @@ class BinaryMask:
     def __post_init__(self):
         require_int(self.height, "height", 1)
         require_int(self.width, "width", 1)
-        n_words = (self.height * self.width + _WORD_BITS - 1) // _WORD_BITS
-        if self.words.dtype != np.uint64 or self.words.shape != (n_words,):
-            raise ValueError("words must be a uint64 vector covering height*width bits")
-        tail_bits = self.height * self.width - (n_words - 1) * _WORD_BITS
-        if tail_bits < _WORD_BITS:
-            tail_mask = np.uint64((1 << tail_bits) - 1)
-            if self.words[-1] & ~tail_mask:
-                raise ValueError("padding bits past height*width must be zero")
+        cols = _row_words(self.width)
+        if self.words.dtype != np.uint64 or self.words.shape != (self.height * cols,):
+            raise ValueError("words must be a uint64 vector of height * ceil(width/64)")
+        # An aligned width has no padding bits, so only others are checked.
+        if self.width % _WORD_BITS and np.any(
+            self.words[cols - 1 :: cols] & ~_row_tail(self.width)
+        ):
+            raise ValueError("padding bits past width in each row must be zero")
         self.words.setflags(write=False)
 
     @classmethod
@@ -88,12 +111,10 @@ class BinaryMask:
         arr = np.asarray(array)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        flat = (arr != 0).reshape(-1)
-        return cls(arr.shape[0], arr.shape[1], _pack_rows(flat))
+        return cls(arr.shape[0], arr.shape[1], _pack_rows(arr != 0))
 
     def to_array(self) -> np.ndarray:
-        bits = _unpack_rows(self.words[None], self.height * self.width)
-        return bits.reshape(self.height, self.width)
+        return _unpack_rows(self.words[None], self.height, self.width)[0]
 
     @cached_property
     def area(self) -> int:
@@ -185,7 +206,7 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
     """Check the RLE counts of a set of height x width masks, one sequence
     per mask, with RleMask's rules, and decode them without expanding any
     pixel to a byte. The masks' words are the rows of one read-only
-    (n, words) uint64 block.
+    (n, height * cols) uint64 block.
 
     Every run end but a mask's last flips the pixel value, so each sets one
     toggle bit. A prefix XOR of the toggles then gives the pixels: within a
@@ -194,20 +215,22 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
     arrays made from their counts stay small."""
     require_int(height, "height", 1)
     require_int(width, "width", 1)
-    pixels = height * width
-    n, n_words = len(count_lists), (pixels + _WORD_BITS - 1) // _WORD_BITS
-    pad = n_words * _WORD_BITS - pixels
+    cols = _row_words(width)
+    n, n_words = len(count_lists), height * cols
     block = np.zeros((n, n_words), dtype=np.uint64)
     rows = max(1, _SCRATCH_BYTES // (8 * n_words))
     scratch = np.empty((min(rows, n), n_words), dtype=np.uint64)
     for top in range(0, n, rows):
         part = block[top : top + rows]
-        counts, ends = _checked_counts(count_lists[top : top + rows], pixels)
-        # With each mask's padding added to its last run, the running sum of
-        # the counts is the toggle's bit index in `part`.
+        counts, ends = _checked_counts(count_lists[top : top + rows], height * width)
+        # The running sum of the counts is a toggle's pixel index p in the
+        # masks laid end to end. Each mask holds whole image rows, so p is
+        # row y = p // width, column x = p % width of `part`: its bit
+        # y * 64 * cols + x.
         last = ends - 1
-        counts[last] += pad
         toggles = np.delete(np.cumsum(counts, out=counts), last)
+        y, x = np.divmod(toggles, width)
+        toggles = y * (_WORD_BITS * cols) + x
         word = toggles >> 6
         bits = toggles.view(np.uint64)
         np.left_shift(np.uint64(1), bits & np.uint64(63), out=bits)
@@ -217,14 +240,14 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
         first = np.flatnonzero(new_word)
         part.reshape(-1)[word[first]] = np.bitwise_or.reduceat(bits, first)
         _prefix_xor(part, scratch)
-    if pad:  # a mask that ends in foreground has set its padding bits
-        block[:, -1] &= np.uint64((1 << (_WORD_BITS - pad)) - 1)
+        if width % _WORD_BITS:  # a row that ends in foreground fills its padding
+            part[:, cols - 1 :: cols] &= _row_tail(width)
     block.setflags(write=False)
     return [BinaryMask(height, width, words) for words in block]
 
 
 def rle_encode(mask: BinaryMask) -> RleMask:
-    flat = _unpack_rows(mask.words[None], mask.height * mask.width)[0]
+    flat = _unpack_rows(mask.words[None], mask.height, mask.width).reshape(-1)
     edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1  # where a new run starts
     bounds = np.concatenate(([0], edges, [flat.size]))
     counts = np.diff(bounds)
@@ -253,7 +276,11 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
 
 @dataclass(frozen=True, eq=False)
 class IoUMatrix:
-    """Strict upper-triangular pairwise IoU matrix (diagonal and below are zero)."""
+    """Strict upper-triangular pairwise IoU matrix (diagonal and below are zero).
+
+    Ownership: `values` is wrapped, not copied, and made read-only, even
+    when it is the caller's own; pass a copy to keep yours writable.
+    """
 
     values: np.ndarray
 
@@ -276,10 +303,9 @@ class IoUMatrix:
 def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
     """All-pairs IoU over a mask list, upper triangle only.
 
-    When the width is a multiple of 64, each image row is `cols` whole
-    words, and word c of every row forms strip c; otherwise the whole mask
-    is one strip. A pair's intersection is the sum of its per-strip counts,
-    and a mask with no bit in a strip skips it.
+    Each image row is `cols` whole words, and word c of every row forms
+    strip c. A pair's intersection is the sum of its per-strip counts, and a
+    mask with no bit in a strip skips it.
 
     Within a strip, a mask's word span runs from its first to its last
     non-zero word, and the masks are visited in order of their first word
@@ -294,7 +320,7 @@ def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
     if n < 2:
         return IoUMatrix(out)
     check_same_dims(*masks)
-    cols = masks[0].width // _WORD_BITS if masks[0].width % _WORD_BITS == 0 else 1
+    cols = _row_words(masks[0].width)
     # Counts and areas are integers below 2**53, so float64 holds them, and
     # sums them across strips and forms each union, exactly.
     areas = np.zeros(n, dtype=np.float64)
@@ -349,17 +375,22 @@ class Box:
 
 def masks_to_boxes(masks: Sequence[BinaryMask]) -> list:
     """Tight bounding box of each mask's foreground, None for an empty mask.
-    The masks must share dimensions; they are unpacked a few at a time."""
+    The masks must share dimensions.
+
+    A row is occupied when one of its words is non-zero, and the columns
+    are the pixels of the OR of a mask's rows, so only that one row is
+    unpacked. The masks' words are stacked a few masks at a time."""
     if not masks:
         return []
     check_same_dims(*masks)
     h, w = masks[0].height, masks[0].width
-    step = max(1, _SCRATCH_BYTES // (h * w))
+    cols = _row_words(w)
+    step = max(1, _SCRATCH_BYTES // (8 * h * cols))
     boxes = []
     for top in range(0, len(masks), step):
-        words = np.array([m.words for m in masks[top : top + step]])
-        bits = _unpack_rows(words, h * w).reshape(-1, h, w)
-        ys, xs = bits.any(axis=2), bits.any(axis=1)
+        words = np.array([m.words for m in masks[top : top + step]]).reshape(-1, h, cols)
+        ys = words.any(axis=2)
+        xs = _unpack_rows(np.bitwise_or.reduce(words, axis=1), 1, w)[:, 0]
         x_min, y_min = xs.argmax(axis=1).tolist(), ys.argmax(axis=1).tolist()
         # The first set pixel from the far end, counted back from that end.
         x_back = xs[:, ::-1].argmax(axis=1).tolist()

@@ -21,8 +21,8 @@ class SceneSpec:
     instance is replicated num_duplicates_per_instance extra times
     with jittered position, size and score, so the scene contains
     num_instances * (1 + num_duplicates_per_instance) masks in total, and
-    height * width * total_masks may not exceed the MAX_MASK_SET_PIXELS
-    that a mask-set file may decode to.
+    their padded pixels (`check_mask_set_size`) may not exceed the
+    MAX_MASK_SET_PIXELS that a mask-set file may decode to.
     """
 
     height: int = 128

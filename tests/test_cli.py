@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from maskops import formats
 from maskops.cli import main
 
 
@@ -183,6 +184,22 @@ def test_oversized_mask_set_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["suppress", str(huge)], capsys)
     assert code == 2
     assert "malformed mask set" in err
+
+
+def test_one_pixel_wide_mask_set_is_capped_by_padded_rows(tmp_path, capsys, monkeypatch):
+    # 2**27 pixels, but each of its 2**27 one-pixel rows is a whole word:
+    # 2**33 padded pixels (1 GiB of words), so it fails before any decode.
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text(json.dumps({
+        "height": 1 << 27, "width": 1,
+        "instances": [{"counts": [1 << 27], "score": 0.5}],
+    }))
+    monkeypatch.setattr(formats, "decode_counts", lambda *a: pytest.fail("decoded"))
+    code, out, err = run_cli(["suppress", str(narrow)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed mask set: 1 masks of 134217728x1")
+    assert "exceed" in err
 
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):

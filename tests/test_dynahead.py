@@ -11,6 +11,7 @@ from maskops import (
     DecayFn,
     FeatureMap,
     FusionWeights,
+    IoUMatrix,
     KernelGrid,
     PyramidLevels,
     ScoredMask,
@@ -290,6 +291,30 @@ def test_fusion_weights_must_be_finite(bad):
         kernel[..., 0, 0] = bad
         with pytest.raises(ValueError, match="kernel must be finite"):
             NormConvStage(kernel, np.ones(4), np.zeros(4))
+
+
+def test_wrappers_take_ownership_of_the_callers_array():
+    # Each wrapper holds the caller's own float64 or uint64 array, not a
+    # copy, and makes it read-only; passing a copy keeps the caller's
+    # array writable.
+    feature, kernels, categories = (np.ones((2, 2, 2)) for _ in range(3))
+    stage = (np.ones((2, 2)), np.ones(2), np.zeros(2))
+    words, ious = np.array([5], dtype=np.uint64), np.zeros((2, 2))
+    conv = NormConvStage(*stage)
+    held = [
+        FeatureMap(feature).data,
+        KernelGrid(kernels, 2).data,
+        CategoryGrid(categories).data,
+        conv.kernel, conv.gn_scale, conv.gn_shift,
+        BinaryMask(1, 3, words).words,
+        IoUMatrix(ious).values,
+    ]
+    mine = [feature, kernels, categories, *stage, words, ious]
+    assert all(h is m for h, m in zip(held, mine, strict=True))
+    assert not any(m.flags.writeable for m in mine)
+    kept = np.ones((2, 2, 2))
+    FeatureMap(kept.copy())
+    assert kept.flags.writeable
 
 
 def seeded_pyramid(seed=0, levels=4, channels=4, out_channels=8):

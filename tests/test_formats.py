@@ -132,7 +132,8 @@ def test_mask_set_pixel_cap(monkeypatch):
     # The cap admits a COCO-scale set and the benchmark's largest set.
     assert 100 * 640 * 480 <= masks_module.MAX_MASK_SET_PIXELS
     assert 300 * 128 * 128 <= masks_module.MAX_MASK_SET_PIXELS
-    monkeypatch.setattr(masks_module, "MAX_MASK_SET_PIXELS", 20)
+    # Each 2x5 mask counts 2 rows padded to 64 pixels: 128 of the cap.
+    monkeypatch.setattr(masks_module, "MAX_MASK_SET_PIXELS", 256)
     inst = {"counts": [10], "score": 0.5}
     doc = {"height": 2, "width": 5, "instances": [inst, inst]}
     assert len(mask_set_from_dict(doc)) == 2

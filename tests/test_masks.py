@@ -192,18 +192,18 @@ _iou_dims = st.sampled_from([(1, 1), (5, 7), (3, 130), (8, 256), (1, 64)]) | (
 
 @st.composite
 def _span_mask(draw, h, w):
-    """An h x w mask: empty, full, one pixel in the first or last word, one
+    """An h x w mask: empty, full, one pixel in the first or last word (the
+    last word holds the last row's last (w - 1) % 64 + 1 pixels), one
     row-major run of pixels (runs far apart have disjoint spans), or random."""
     n = h * w
-    last_word = (n - 1) // 64 * 64
     flat = np.zeros(n, dtype=bool)
     kind = draw(st.sampled_from(["empty", "full", "first", "last", "run", "random"]))
     if kind == "full":
         flat[:] = True
     elif kind == "first":
-        flat[draw(st.integers(0, min(63, n - 1)))] = True
+        flat[draw(st.integers(0, min(63, w - 1)))] = True
     elif kind == "last":
-        flat[draw(st.integers(last_word, n - 1))] = True
+        flat[draw(st.integers(n - 1 - (w - 1) % 64, n - 1))] = True
     elif kind == "run":
         start = draw(st.integers(0, n - 1))
         flat[start : start + draw(st.integers(1, n - start))] = True
@@ -222,14 +222,19 @@ def _iou_stacks(draw):
 def _word_span_stacks(draw):
     """Up to 24 masks whose word spans are new, equal to an earlier mask's,
     nested in it, share its first word, or start on its last word; some are
-    empty. Each mask sets every `step`-th pixel from a pixel in its first
-    word to one in its last, so its span is exactly the drawn one."""
+    empty. A span indexes the mask's h * cols words. Each mask sets every
+    `step`-th bit from a pixel in its first word to one in its last, and
+    padding bits are then dropped, so its span is exactly the drawn one."""
     h, w = draw(st.sampled_from([(8, 64), (3, 130), (5, 77)]))
-    n = h * w
-    last_word = (n - 1) // 64
+    cols = -(-w // 64)
+    last_word = h * cols - 1
+
+    def pixels(word):  # the last word of a row holds (w - 1) % 64 + 1 pixels
+        return 64 if word % cols < cols - 1 else (w - 1) % 64 + 1
+
     spans, masks = [], []
     for _ in range(draw(st.integers(0, 24))):
-        flat = np.zeros(n, dtype=bool)
+        flat = np.zeros(h * 64 * cols, dtype=bool)
         kind = draw(st.sampled_from(["empty", "new", "equal", "nested", "first", "on_last"]))
         if kind != "empty":
             if kind == "new" or not spans:
@@ -245,12 +250,12 @@ def _word_span_stacks(draw):
                 elif kind == "on_last":
                     a, b = b, draw(st.integers(b, last_word))
             spans.append((a, b))
-            start = draw(st.integers(64 * a, min(64 * a + 63, n - 1)))
-            end = draw(st.integers(max(start, 64 * b), min(64 * b + 63, n - 1)))
+            start = draw(st.integers(64 * a, 64 * a + pixels(a) - 1))
+            end = draw(st.integers(max(start, 64 * b), 64 * b + pixels(b) - 1))
             step = draw(st.integers(1, 5))
             flat[start : end + 1 : step] = True
             flat[end] = True
-        masks.append(BinaryMask.from_array(flat.reshape(h, w)))
+        masks.append(BinaryMask.from_array(flat.reshape(h, 64 * cols)[:, :w]))
     return masks
 
 
@@ -329,6 +334,85 @@ def test_rle_round_trip_any_mask(mask):
     rle = rle_encode(mask)
     assert rle_decode(rle) == mask
     assert rle_encode(rle_decode(rle)) == rle
+
+
+# Each image row is ceil(w / 64) whole words with zero padding bits. Widths
+# 1-200 cover one to four words a row; the explicit examples sit on each
+# side of one and two whole words. Their masks have every third pixel set,
+# so some rows end in foreground.
+_EDGE_WIDTHS = (63, 64, 65, 127, 129, 200)
+
+
+def _at_edge_widths(build):
+    """Decorate a property with one explicit example per edge width."""
+    def decorate(test):
+        for w in _EDGE_WIDTHS:
+            test = example(build(np.arange(3 * w).reshape(3, w) % 3 == 0))(test)
+        return test
+    return decorate
+
+
+@st.composite
+def _row_arrays(draw, max_masks=1):
+    """1-`max_masks` boolean arrays of one h x w shape, w in 1-200."""
+    h = draw(st.integers(1, 5))
+    w = draw(st.sampled_from(_EDGE_WIDTHS) | st.integers(1, 200))
+    return draw(st.lists(arrays(bool, (h, w)), min_size=1, max_size=max_masks))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_row_arrays(max_masks=4))
+@_at_edge_widths(lambda a: [a, ~a])
+def test_array_mask_rle_and_set_reader_round_trip_at_any_width(arrs):
+    h, w = arrs[0].shape
+    masks = [BinaryMask.from_array(a) for a in arrs]
+    counts = []
+    for a, m in zip(arrs, masks):
+        assert m.words.shape == (h * -(-w // 64),)
+        assert np.array_equal(m.to_array(), a) and m.area == a.sum()
+        rle = rle_encode(m)
+        assert reference.rle_decode_repeat(rle.counts, h, w) == m
+        assert rle_decode(rle) == m
+        counts.append(list(rle.counts))
+    doc = {"height": h, "width": w,
+           "instances": [{"counts": c, "score": 0.5} for c in counts]}
+    got = [s.mask for s in mask_set_from_dict(doc)]
+    assert got == masks
+    assert [list(rle_encode(m).counts) for m in got] == counts
+
+
+@settings(deadline=None, max_examples=200)
+@given(_row_arrays(max_masks=6))
+@_at_edge_widths(lambda a: [a, np.zeros_like(a), a[:, ::-1]])
+def test_masks_to_boxes_matches_reference_at_any_width(arrs):
+    masks = [BinaryMask.from_array(a) for a in arrs]
+    assert masks_to_boxes(masks) == [reference.mask_box(m) for m in masks]
+
+
+@st.composite
+def _padding_bits(draw):
+    """(h, w, row, bit): a width with padding (not a multiple of 64), and one
+    padding bit of one row, indexed in that row's words (`bit` >= w)."""
+    h = draw(st.integers(1, 5))
+    w = draw(st.integers(1, 200).filter(lambda w: w % 64))
+    return h, w, draw(st.integers(0, h - 1)), draw(st.integers(w, 64 * -(-w // 64) - 1))
+
+
+# The edge widths but 64, which has no padding bits.
+@settings(deadline=None)
+@given(_padding_bits())
+@example((1, 63, 0, 63))
+@example((3, 65, 1, 65))
+@example((3, 127, 0, 127))
+@example((4, 129, 2, 191))
+@example((2, 200, 1, 255))
+def test_a_padding_bit_in_any_row_is_rejected(case):
+    h, w, row, bit = case
+    cols = -(-w // 64)
+    words = BinaryMask.from_array(np.ones((h, w), dtype=bool)).words.copy()
+    words[row * cols + bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
+    with pytest.raises(ValueError, match="padding bits"):
+        BinaryMask(h, w, words)
 
 
 @settings(deadline=None)

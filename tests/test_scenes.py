@@ -107,7 +107,10 @@ def test_spec_pixel_cap():
 
 def test_spec_pixel_cap_is_the_mask_set_cap(monkeypatch):
     # The spec reads the cap the mask-set reader applies, not a copy of it.
-    monkeypatch.setattr(masks_module, "MAX_MASK_SET_PIXELS", 128)
+    # Each 8x8 mask counts 8 rows padded to 64 pixels: 512 of the cap.
+    monkeypatch.setattr(masks_module, "MAX_MASK_SET_PIXELS", 1024)
     SceneSpec(height=8, width=8, num_instances=2, num_duplicates_per_instance=0)
-    with pytest.raises(ValueError, match="3 masks of 8x8 exceed 128 pixels"):
+    with pytest.raises(
+        ValueError, match=r"3 masks of 8x8 \(rows padded to 64 pixels\) exceed 1024 pixels"
+    ):
         SceneSpec(height=8, width=8, num_instances=3, num_duplicates_per_instance=0)
