@@ -219,8 +219,8 @@ class VerifyCheck:
 
 CHECKS = {}
 """The oracle check registry, in `maskbench verify` order: name -> a function
-`(rng, cases) -> VerifyCheck` that builds `cases` cases from `rng`; `cases`
-defaults to the count `maskbench verify` runs."""
+`(rng, cases) -> VerifyCheck` that builds `cases` cases from `rng` alone;
+`cases` defaults to the count `maskbench verify` runs."""
 
 
 def _check(name: str, verify_cases: int):
@@ -268,8 +268,7 @@ def _rle_round_trip(rng, cases):
     """`cases` masks through encode and decode one at a time, then
     `cases // 10` sets of 1-8 masks (widths 1-200) through
     `formats.mask_set_from_dict`, each mask checked against the `np.repeat`
-    decoder. The sets draw from a spawned stream, which leaves `rng`'s own
-    draws to the checks after this one."""
+    decoder."""
     bad = []
     for case in range(cases):
         h, w = (int(v) for v in rng.integers(1, 33, 2))
@@ -284,12 +283,11 @@ def _rle_round_trip(rng, cases):
             bad.append(case)
     sets = cases // 10
     bad_sets = []
-    sub = rng.spawn(1)[0]
     for case in range(sets):
-        h, w = int(sub.integers(1, 9)), int(sub.integers(1, 201))
+        h, w = int(rng.integers(1, 9)), int(rng.integers(1, 201))
         # Densities 0 and 1 give all-empty and all-full masks.
-        density = sub.choice([0.0, 1.0, sub.uniform(0.0, 1.0)], int(sub.integers(1, 9)))
-        masks = [BinaryMask.from_array(sub.random((h, w)) < d) for d in density]
+        density = rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)], int(rng.integers(1, 9)))
+        masks = [BinaryMask.from_array(rng.random((h, w)) < d) for d in density]
         counts = [list(rle_encode(m).counts) for m in masks]
         doc = {"height": h, "width": w,
                "instances": [{"counts": c, "score": 0.5} for c in counts]}
@@ -319,12 +317,9 @@ def _pairwise_iou(rng, cases):
         if not (symmetric and direct == want and 0.0 <= direct <= 1.0):
             return False, f"mismatch or out of bounds at {(i, j)}"
     # Rows of 128 and 100 pixels are 2 words each, so these matrices are
-    # built strip by strip; the second strip of a 100-pixel row holds 36
-    # pixels. The scene seeds come from a spawned stream, which leaves
-    # `rng`'s own draws to the checks after this one.
-    sub = rng.spawn(1)[0]
+    # built strip by strip; the second strip of a 100-pixel row holds 36 pixels.
     for w in (128, 100):
-        seed = int(sub.integers(0, 2**31))
+        seed = int(rng.integers(0, 2**31))
         spec = SceneSpec(height=32, width=w, num_instances=6, shape="ellipse", seed=seed)
         wide = [m.mask for m in gen_scene(spec)]
         got = pairwise_iou_matrix(wide).values
@@ -548,18 +543,17 @@ def _group_norm_vs_loops(rng, cases):
     """`cases` shapes up to 8x8 with 1-4 groups of 1-4 channels, affine
     scale and shift included, within a relative _FUSION_TOL; then cases // 2
     more whose mean is 1e3-1e4 times their spread, where a variance not taken
-    from the centered values loses the most bits. Those draw from a spawned
-    stream, which leaves `rng`'s own draws to the checks after this one."""
+    from the centered values loses the most bits."""
     worst = [0.0, 0.0]
-    for far, r, count in ((0, rng, cases), (1, rng.spawn(1)[0], cases // 2)):
+    for far, count in ((0, cases), (1, cases // 2)):
         for _ in range(count):
-            h, w, groups, per = (int(v) for v in r.integers(1, [9, 9, 5, 5]))
+            h, w, groups, per = (int(v) for v in rng.integers(1, [9, 9, 5, 5]))
             c = groups * per
-            loc, spread = r.uniform(-5.0, 5.0), r.uniform(0.1, 10.0)
+            loc, spread = rng.uniform(-5.0, 5.0), rng.uniform(0.1, 10.0)
             if far:
-                loc = np.sign(loc) * 10.0 ** r.uniform(3.0, 4.0) * spread
-            x = r.normal(loc, spread, (h, w, c))
-            scale, shift = r.standard_normal(c), r.standard_normal(c)
+                loc = np.sign(loc) * 10.0 ** rng.uniform(3.0, 4.0) * spread
+            x = rng.normal(loc, spread, (h, w, c))
+            scale, shift = rng.standard_normal(c), rng.standard_normal(c)
             got = group_norm(FeatureMap(x), groups, scale, shift).data
             want = reference.group_norm_loops(x, groups, scale, shift)
             worst[far] = max(worst[far], _relative_error(got, want))
@@ -609,6 +603,10 @@ def _fuse_vs_loops(rng, cases):
 
 
 def run_verification(seed: int = 0) -> list:
-    """Every registered check at its `maskbench verify` case count."""
-    rng = np.random.default_rng(require_int(seed, "seed", 0))
-    return [check(rng) for check in CHECKS.values()]
+    """Every registered check at its `maskbench verify` case count, each on
+    its own generator keyed by `seed` and the check's name, so a check may be
+    added or extended anywhere in the registry without changing another's
+    inputs."""
+    require_int(seed, "seed", 0)
+    rngs = (np.random.default_rng([seed, zlib.crc32(n.encode())]) for n in CHECKS)
+    return [check(rng) for check, rng in zip(CHECKS.values(), rngs)]

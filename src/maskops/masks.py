@@ -15,7 +15,7 @@ _WORD_BITS = 64
 # decode to, where each row is padded to `cols` whole words (`_row_words`).
 # Run lengths are non-negative and sum to height * width, so this also bounds
 # every count. 2**27 admits up to 436 masks of 640x480 (an aligned width).
-# The mask-set reader and `SceneSpec` both apply it through
+# `decode_counts`, the mask-set reader and `SceneSpec` apply it through
 # `check_mask_set_size`.
 MAX_MASK_SET_PIXELS = 1 << 27
 
@@ -34,6 +34,14 @@ def require_int(value, name: str, minimum: int) -> int:
     if type(value) is not int or value < minimum:
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
     return value
+
+
+def reject_bool(value, name: str):
+    """A ValueError if `value` is a bool or NumPy bool: either passes a
+    real-valued setting's range check (True == 1) but is not a number. Every
+    no-bool check in the package is a call to this function."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _row_words(width: int) -> int:
@@ -212,9 +220,11 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
     toggle bit. A prefix XOR of the toggles then gives the pixels: within a
     word by six shift-XOR steps, across words by XORing in the parity of the
     same mask's earlier words. The masks are done a few at a time, so the
-    arrays made from their counts stay small."""
+    arrays made from their counts stay small. A set past MAX_MASK_SET_PIXELS
+    (`check_mask_set_size`) is a ValueError before anything is allocated."""
     require_int(height, "height", 1)
     require_int(width, "width", 1)
+    check_mask_set_size(height, width, len(count_lists))
     cols = _row_words(width)
     n, n_words = len(count_lists), height * cols
     block = np.zeros((n, n_words), dtype=np.uint64)

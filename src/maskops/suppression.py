@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .masks import BinaryMask, IoUMatrix, pairwise_iou_matrix, require_int
+from .masks import BinaryMask, IoUMatrix, pairwise_iou_matrix, reject_bool, require_int
 
 METHODS = ("hard", "soft", "fast", "matrix")
 DECAY_KINDS = ("linear", "gauss")
@@ -29,9 +29,10 @@ class ScoredMask:
     category: int = 0
 
     def __post_init__(self):
-        # bool passes the range check (True == 1) but is not a score: a
-        # mask-set file would store it as JSON true, which its reader rejects.
-        if isinstance(self.score, (bool, np.bool_)) or not 0.0 < self.score <= 1.0:
+        # A mask-set file would store a bool score as JSON true, which its
+        # reader rejects.
+        reject_bool(self.score, "score")
+        if not 0.0 < self.score <= 1.0:
             raise ValueError(f"score must be a number in (0, 1], got {self.score!r}")
         require_int(self.category, "category", 0)
 
@@ -47,6 +48,7 @@ class DecayFn:
     def __post_init__(self):
         if self.kind not in DECAY_KINDS:
             raise ValueError(f"kind must be one of {DECAY_KINDS}")
+        reject_bool(self.sigma, "sigma")
         if not self.sigma > 0.0:  # NaN fails too
             raise ValueError("sigma must be positive")
 
@@ -76,8 +78,10 @@ class SuppressionConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        reject_bool(self.iou_threshold, "iou_threshold")
         if not 0.0 <= self.iou_threshold <= 1.0:
             raise ValueError("iou_threshold must be in [0, 1]")
+        reject_bool(self.score_threshold, "score_threshold")
         if not self.score_threshold >= 0.0:  # NaN fails too
             raise ValueError("score_threshold must be non-negative")
         if self.top_k is not None:

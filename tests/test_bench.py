@@ -93,6 +93,35 @@ def test_run_verification_all_pass():
         assert c.passed, f"{c.name}: {c.detail}"
 
 
+def test_each_check_draws_from_its_own_stream(monkeypatch):
+    # A check's generator depends on the seed and its name only: the first
+    # check drawing more numbers changes no other check's entry state.
+    names = list(bench.CHECKS)
+
+    def entry_states(first_draws):
+        states = {}
+
+        def recorder(name):
+            def check(rng):
+                states[name] = rng.bit_generator.state
+                if name == names[0]:
+                    rng.random(first_draws)
+                return bench.VerifyCheck(name, True, "")
+
+            return check
+
+        monkeypatch.setattr(bench, "CHECKS", {n: recorder(n) for n in names})
+        run_verification(seed=5)
+        return states
+
+    plain, greedy = entry_states(0), entry_states(1000)
+    assert plain[names[0]] == greedy[names[0]]
+    for name in names[1:]:
+        assert greedy[name] == plain[name], name
+    # ... and the streams of different checks differ.
+    assert len({str(s) for s in plain.values()}) == len(names)
+
+
 def _one_pass_group_norm(x, groups, scale, shift):
     """`dynahead._group_norm` with the variance taken as E[x^2] - E[x]^2,
     which cancels most of its bits when the mean is far larger than the

@@ -139,6 +139,18 @@ def test_rle_decode_peak_memory():
     assert peak < n // 2
 
 
+def test_decode_counts_applies_the_pixel_cap(monkeypatch):
+    # Rows of 64 pixels are one word each. A cap of 256 admits 4 rows (or
+    # two 2-row masks); 16 rows, or three 2-row masks, fail before decoding.
+    monkeypatch.setattr(masks_module, "MAX_MASK_SET_PIXELS", 256)
+    assert rle_decode(RleMask(4, 64, (0, 256))).area == 256
+    assert len(masks_module.decode_counts([[128], [128]], 2, 64)) == 2
+    with pytest.raises(ValueError, match="1 masks of 16x64 .* exceed 256 pixels"):
+        rle_decode(RleMask(16, 64, (1024,)))
+    with pytest.raises(ValueError, match="3 masks of 2x64 .* exceed 256 pixels"):
+        masks_module.decode_counts([[128]] * 3, 2, 64)
+
+
 def test_rle_leading_zero_allowed():
     r = RleMask(1, 2, (0, 2))
     assert rle_decode(r).area == 2

@@ -58,6 +58,10 @@ def test_decayfn_validation():
     for sigma in (-1.0, 0.0, np.nan):
         with pytest.raises(ValueError):
             DecayFn("gauss", sigma=sigma)
+    # True == 1 passes the range check, but a bool is not a real number.
+    for sigma in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="sigma must be a real number"):
+            DecayFn("gauss", sigma=sigma)
 
 
 def test_matrix_nms_single_mask():
@@ -439,5 +443,10 @@ def test_config_validation():
     for bad in (-0.1, np.nan):
         with pytest.raises(ValueError):
             SuppressionConfig(score_threshold=bad)
+    # Both bools pass the range checks; score_threshold=True once kept nothing.
+    for field in ("iou_threshold", "score_threshold"):
+        for bad in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match=f"{field} must be a real number"):
+                SuppressionConfig(**{field: bad})
     with pytest.raises(ValueError):
         run_method("other", scored(0.9), upper(1, {}), SuppressionConfig())
