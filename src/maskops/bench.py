@@ -35,6 +35,7 @@ from .masks import (
     BinaryMask,
     IoUMatrix,
     mask_iou,
+    pack_masks,
     pairwise_iou_matrix,
     require_int,
     rle_decode,
@@ -367,7 +368,7 @@ def _soft_matrix_n2(rng, cases):
         arr = rng.random((n, 12, 16)) < rng.uniform(0.2, 0.8)
         if n == 2 and rng.random() < 0.4:
             arr[1] = arr[0]  # identical pair: IoU exactly 1
-        pool = [BinaryMask.from_array(a) for a in arr]
+        pool = pack_masks(arr)
         scores = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
         masks = [ScoredMask(m, float(s)) for m, s in zip(pool, scores)]
         decay = DecayFn("gauss" if case % 4 < 2 else "linear")

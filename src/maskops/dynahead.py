@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .masks import BinaryMask, Box, masks_to_boxes, require_int
+from .masks import BinaryMask, Box, masks_to_boxes, pack_masks, require_int
 from .suppression import ScoredMask, SuppressionConfig, suppress
 
 
@@ -491,9 +491,11 @@ def assemble_masks(
     yielding empty masks are dropped.
 
     The hit cells' kernels go through one batched product (`dynamic_conv`)
-    and one `mask_foreground` call per block of cells (see LOGIT_BLOCK); a
-    cell hit by several classes yields one BinaryMask that its ScoredMasks
-    share. Output order is (grid index k, then category).
+    and one `mask_foreground` call per block of cells (see LOGIT_BLOCK), and
+    each block's masks are packed into one shared read-only block of words
+    (`masks.pack_masks`). A cell hit by several classes yields one
+    BinaryMask that its ScoredMasks share. Output order is (grid index k,
+    then category).
     """
     if category.grid_size != kernels.grid_size:
         raise ValueError("category and kernel grids must agree in size")
@@ -510,7 +512,7 @@ def assemble_masks(
         foreground = mask_foreground(
             dynamic_conv(feature, hit_kernels[start : start + block])
         )
-        cell_masks += [BinaryMask.from_array(f) for f in foreground.transpose(2, 0, 1)]
+        cell_masks += pack_masks(foreground.transpose(2, 0, 1))
     owners = np.cumsum(new_cell) - 1
     scores = category.data[rows, cols, classes]
     return [

@@ -7,7 +7,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .masks import BinaryMask
+from .masks import BinaryMask, require_finite, require_int
 
 
 def probabilities(values, ndim: int) -> np.ndarray:
@@ -68,11 +68,11 @@ def focal_loss(
     """-alpha_t (1 - p_t)^gamma log(p_t) with its gradient w.r.t. pred_prob,
     where p_t = pred_prob and alpha_t = FOCAL_ALPHA when target=1, and
     p_t = 1 - pred_prob and alpha_t = 1 - FOCAL_ALPHA otherwise.
-    gamma must be non-negative."""
+    target is an int, 0 or 1, and gamma a finite real >= 0."""
     pred_prob = float(probabilities(pred_prob, 0))
-    if target not in (0, 1):
-        raise ValueError("target must be 0 or 1")
-    if not gamma >= 0.0:  # NaN fails too
+    if require_int(target, "target", 0) > 1:
+        raise ValueError(f"target must be 0 or 1, got {target!r}")
+    if require_finite(gamma, "gamma") < 0.0:
         raise ValueError("gamma must be non-negative")
     p_t = pred_prob if target == 1 else 1.0 - pred_prob
     a_t = FOCAL_ALPHA if target == 1 else 1.0 - FOCAL_ALPHA

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -36,12 +37,17 @@ def require_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def reject_bool(value, name: str):
-    """A ValueError if `value` is a bool or NumPy bool: either passes a
-    real-valued setting's range check (True == 1) but is not a number. Every
-    no-bool check in the package is a call to this function."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+def require_finite(value, name: str):
+    """`value` if it is a finite real number, else a ValueError. A bool or
+    NumPy bool passes a real-valued setting's range check (True == 1) but is
+    not a number, and NaN or an infinity is not a usable setting, so all
+    are rejected; each caller keeps its own range check. Every finite-real
+    check in the package is a call to this function."""
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+        raise ValueError(
+            f"{name} must be a real number (finite, not bool), got {value!r}"
+        )
+    return value
 
 
 def _row_words(width: int) -> int:
@@ -66,15 +72,20 @@ def check_mask_set_size(height: int, width: int, count: int):
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack an (h, w) boolean array into little-endian uint64 words, each row
-    `cols` whole words with zero padding bits, as an (h * cols,) vector."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    h, n = packed.shape
-    if n % 8:  # zero bytes pad each row to whole words
-        padded = np.zeros((h, n + -n % 8), dtype=np.uint8)
-        padded[:, :n] = packed
-        packed = padded
-    return packed.view(np.uint64).reshape(-1)
+    """The inverse of `_unpack_rows`: pack an (n, h, w) boolean stack into
+    little-endian uint64 words, each row `cols` whole words with zero
+    padding bits, as one (n, h * cols) block that owns its memory.
+
+    The stack is made contiguous first: `packbits` along the width of a
+    strided view (such as a transposed (h, w, n) map) runs about twice as
+    slowly as the copy and the contiguous pack together."""
+    n, h, w = bits.shape
+    cols = _row_words(w)
+    block = np.zeros((n, h * cols), dtype=np.uint64)
+    packed = np.packbits(np.ascontiguousarray(bits), axis=2, bitorder="little")
+    # Zero bytes past each row's packed bytes pad it to whole words.
+    block.view(np.uint8).reshape(n, h, 8 * cols)[..., : packed.shape[2]] = packed
+    return block
 
 
 def _unpack_rows(words: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -119,7 +130,7 @@ class BinaryMask:
         arr = np.asarray(array)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls(arr.shape[0], arr.shape[1], _pack_rows(arr != 0))
+        return cls(arr.shape[0], arr.shape[1], _pack_rows((arr != 0)[None])[0])
 
     def to_array(self) -> np.ndarray:
         return _unpack_rows(self.words[None], self.height, self.width)[0]
@@ -138,6 +149,19 @@ class BinaryMask:
 
     def __repr__(self) -> str:
         return f"BinaryMask({self.height}x{self.width}, area={self.area})"
+
+
+def _block_masks(block: np.ndarray, height: int, width: int) -> list:
+    """One BinaryMask per row of an (n, height * cols) uint64 block. The
+    block is made read-only, and the masks' words are its rows."""
+    block.setflags(write=False)
+    return [BinaryMask(height, width, words) for words in block]
+
+
+def pack_masks(bits: np.ndarray) -> list:
+    """One BinaryMask per (h, w) plane of an (n, h, w) boolean stack; the
+    masks' words are the rows of one shared read-only block (`_pack_rows`)."""
+    return _block_masks(_pack_rows(bits), *bits.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -252,8 +276,7 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
         _prefix_xor(part, scratch)
         if width % _WORD_BITS:  # a row that ends in foreground fills its padding
             part[:, cols - 1 :: cols] &= _row_tail(width)
-    block.setflags(write=False)
-    return [BinaryMask(height, width, words) for words in block]
+    return _block_masks(block, height, width)
 
 
 def rle_encode(mask: BinaryMask) -> RleMask:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import BinaryMask, check_mask_set_size, reject_bool, require_int
+from .masks import BinaryMask, check_mask_set_size, require_finite, require_int
 from .suppression import ScoredMask
 
 SHAPES = ("rectangle", "ellipse")
@@ -44,11 +44,8 @@ class SceneSpec:
             require_int(getattr(self, name), name, minimum)
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}")
-        reject_bool(self.score_noise, "score_noise")
-        if not 0.0 <= self.score_noise < float("inf"):  # NaN fails too
-            raise ValueError(
-                f"score_noise must be finite and >= 0, got {self.score_noise}"
-            )
+        if require_finite(self.score_noise, "score_noise") < 0.0:
+            raise ValueError(f"score_noise must be >= 0, got {self.score_noise}")
         check_mask_set_size(self.height, self.width, self.total_masks)
 
     @property

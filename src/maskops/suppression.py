@@ -14,7 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .masks import BinaryMask, IoUMatrix, pairwise_iou_matrix, reject_bool, require_int
+from .masks import (
+    BinaryMask,
+    IoUMatrix,
+    pairwise_iou_matrix,
+    require_finite,
+    require_int,
+)
 
 METHODS = ("hard", "soft", "fast", "matrix")
 DECAY_KINDS = ("linear", "gauss")
@@ -31,8 +37,7 @@ class ScoredMask:
     def __post_init__(self):
         # A mask-set file would store a bool score as JSON true, which its
         # reader rejects.
-        reject_bool(self.score, "score")
-        if not 0.0 < self.score <= 1.0:
+        if not 0.0 < require_finite(self.score, "score") <= 1.0:
             raise ValueError(f"score must be a number in (0, 1], got {self.score!r}")
         require_int(self.category, "category", 0)
 
@@ -48,8 +53,7 @@ class DecayFn:
     def __post_init__(self):
         if self.kind not in DECAY_KINDS:
             raise ValueError(f"kind must be one of {DECAY_KINDS}")
-        reject_bool(self.sigma, "sigma")
-        if not self.sigma > 0.0:  # NaN fails too
+        if require_finite(self.sigma, "sigma") <= 0.0:
             raise ValueError("sigma must be positive")
 
     def penalty(self, iou):
@@ -78,11 +82,9 @@ class SuppressionConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        reject_bool(self.iou_threshold, "iou_threshold")
-        if not 0.0 <= self.iou_threshold <= 1.0:
+        if not 0.0 <= require_finite(self.iou_threshold, "iou_threshold") <= 1.0:
             raise ValueError("iou_threshold must be in [0, 1]")
-        reject_bool(self.score_threshold, "score_threshold")
-        if not self.score_threshold >= 0.0:  # NaN fails too
+        if require_finite(self.score_threshold, "score_threshold") < 0.0:
             raise ValueError("score_threshold must be non-negative")
         if self.top_k is not None:
             require_int(self.top_k, "top_k", 1)

@@ -235,10 +235,18 @@ def test_negative_seed_exits_2(capsys, command):
     assert err == "error: seed must be an int >= 0, got -1\n"
 
 
-@pytest.mark.parametrize("flag", ["--sigma", "--score-threshold"])
-def test_nan_flag_value_exits_2(tmp_path, capsys, flag):
-    # NaN fails every comparison, so it must fail the range checks too.
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        pytest.param(f, v, id=f if v == "nan" else f"{f}-{v}")
+        for v in ("nan", "inf")
+        for f in ("--sigma", "--score-threshold")
+    ],
+)
+def test_nan_flag_value_exits_2(tmp_path, capsys, flag, value):
+    # NaN fails every comparison, and inf passes a one-sided range check
+    # (a threshold of inf once kept nothing), so both must be rejected.
     path = gen_scene_file(tmp_path, capsys)
-    code, _, err = run_cli(["suppress", str(path), flag, "nan"], capsys)
+    code, _, err = run_cli(["suppress", str(path), flag, value], capsys)
     assert code == 2
     assert "error:" in err

@@ -633,20 +633,29 @@ def _per_cell_walk(category, kernels, feature):
     return out
 
 
-@pytest.mark.parametrize("cells_per_block", [None, 1, 3])
+# A 100-pixel row is two words, the second with 28 padding bits. Maps of
+# width 7 keep their earlier ids.
+@pytest.mark.parametrize(
+    "cells_per_block, width",
+    [
+        pytest.param(c, w, id=str(c) if w == 7 else f"{c}-{w}")
+        for w in (7, 100)
+        for c in (None, 1, 3)
+    ],
+)
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("ksize", [1, 3])
 def test_assemble_masks_equals_per_cell_walk_on_integers(
-    monkeypatch, seed, ksize, cells_per_block
+    monkeypatch, seed, ksize, cells_per_block, width
 ):
     # Integer features and kernels make every logit exact, so the batched
-    # product must reproduce the per-cell one bit for bit, in one block of
-    # cells or in several.
+    # product and block packing must reproduce the per-cell one bit for bit,
+    # in one block of cells or in several.
     if cells_per_block is not None:
-        monkeypatch.setattr(dynahead, "LOGIT_BLOCK", cells_per_block * 6 * 7)
+        monkeypatch.setattr(dynahead, "LOGIT_BLOCK", cells_per_block * 6 * width)
     rng = np.random.default_rng(seed)
     s, classes, e = 5, 3, 4
-    feature = rng.integers(-3, 4, size=(6, 7, e)).astype(float)
+    feature = rng.integers(-3, 4, size=(6, width, e)).astype(float)
     feature[:, :, 0] = 1.0
     kernels = rng.integers(-3, 4, size=(s, s, ksize * ksize * e)).astype(float)
     center = (ksize * ksize // 2) * e
@@ -669,11 +678,33 @@ def test_assemble_masks_equals_per_cell_walk_on_integers(
         return [first.setdefault(id(m.mask), i) for i, m in enumerate(masks)]
 
     assert sharing(got) == sharing(want)
-    full = [m for m in got if m.mask.area == 6 * 7]
-    assert [m.category for m in full] == [0, 1, 2]
-    assert full[0].mask is full[1].mask is full[2].mask
+    # Cell (1, 1), every logit 0, gives one full mask shared by its three
+    # classes; other cells may happen to give full masks too.
+    center = [m for m in got if m.score in scores[1, 1].tolist()]
+    assert [m.category for m in center] == [0, 1, 2]
+    assert center[0].mask.area == 6 * width
+    assert center[0].mask is center[1].mask is center[2].mask
     quiet = CategoryGrid(np.minimum(scores, 0.1))
     assert assemble_masks(quiet, ker, feat) == []
+
+
+def test_assemble_masks_packs_each_cell_block_into_one_read_only_block(monkeypatch):
+    # 7 hit cells in blocks of 3: every mask is full, so none is dropped.
+    monkeypatch.setattr(dynahead, "LOGIT_BLOCK", 3 * 4 * 70)
+    scores = np.zeros((3, 3, 2))
+    scores.reshape(9, 2)[:7, 0] = 0.5
+    out = assemble_masks(
+        CategoryGrid(scores),
+        KernelGrid(np.ones((3, 3, 2)), 2),
+        FeatureMap(np.ones((4, 70, 2))),
+    )
+    assert len(out) == 7
+    bases = [m.mask.words.base for m in out]
+    assert all(not b.flags.writeable for b in bases)
+    assert all(not m.mask.words.flags.writeable for m in out)
+    for top in range(0, 7, 3):
+        assert all(b is bases[top] for b in bases[top : top + 3])
+    assert len({id(b) for b in bases}) == 3
 
 
 def test_assemble_masks_peak_memory_is_bounded():

@@ -102,9 +102,12 @@ def test_focal_domain_errors():
     for bad in (0.0, 1.0, -0.1, 1.1, np.nan, np.inf):
         with pytest.raises(ValueError):
             focal_loss(bad, 1)
-    with pytest.raises(ValueError):
-        focal_loss(0.5, 2)
-    for bad in (-0.1, -1.0, np.nan, -np.inf):
+    # True and 1.0 once passed as target 1.
+    for bad in (2, -1, True, 1.0):
+        with pytest.raises(ValueError, match="target"):
+            focal_loss(0.5, bad)
+    # gamma=inf once gave a NaN gradient, and gamma=True was taken as 1.
+    for bad in (-0.1, -1.0, np.nan, -np.inf, np.inf, True):
         with pytest.raises(ValueError):
             focal_loss(0.5, 0, gamma=bad)
     # The end of the domain stays accepted.

@@ -401,6 +401,19 @@ def test_masks_to_boxes_matches_reference_at_any_width(arrs):
     assert masks_to_boxes(masks) == [reference.mask_box(m) for m in masks]
 
 
+@settings(deadline=None, max_examples=200)
+@given(_row_arrays(max_masks=4).map(np.array))
+# Strided (n, h, w) views of an (h, w, n) stack, as assemble_masks packs.
+@_at_edge_widths(lambda a: np.stack([a, ~a, a[::-1]], axis=2).transpose(2, 0, 1))
+def test_pack_rows_inverts_unpack_rows_at_any_width(bits):
+    n, h, w = bits.shape
+    block = masks_module._pack_rows(bits)
+    assert block.dtype == np.uint64 and block.shape == (n, h * -(-w // 64))
+    assert np.array_equal(masks_module._unpack_rows(block, h, w), bits)
+    for i in range(n):
+        assert np.array_equal(block[i], BinaryMask.from_array(bits[i]).words)
+
+
 @st.composite
 def _padding_bits(draw):
     """(h, w, row, bit): a width with padding (not a multiple of 64), and one

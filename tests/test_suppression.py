@@ -58,8 +58,9 @@ def test_decayfn_validation():
     for sigma in (-1.0, 0.0, np.nan):
         with pytest.raises(ValueError):
             DecayFn("gauss", sigma=sigma)
-    # True == 1 passes the range check, but a bool is not a real number.
-    for sigma in (True, np.bool_(True)):
+    # True == 1 passes the range check, but a bool is not a real number;
+    # sigma=inf once turned the gaussian decay off.
+    for sigma in (True, np.bool_(True), np.inf):
         with pytest.raises(ValueError, match="sigma must be a real number"):
             DecayFn("gauss", sigma=sigma)
 
@@ -443,9 +444,10 @@ def test_config_validation():
     for bad in (-0.1, np.nan):
         with pytest.raises(ValueError):
             SuppressionConfig(score_threshold=bad)
-    # Both bools pass the range checks; score_threshold=True once kept nothing.
+    # Both bools pass the range checks; score_threshold=True or inf once
+    # kept nothing.
     for field in ("iou_threshold", "score_threshold"):
-        for bad in (True, False, np.bool_(True)):
+        for bad in (True, False, np.bool_(True), np.inf):
             with pytest.raises(ValueError, match=f"{field} must be a real number"):
                 SuppressionConfig(**{field: bad})
     with pytest.raises(ValueError):
