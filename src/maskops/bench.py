@@ -35,6 +35,7 @@ from .masks import (
     BinaryMask,
     IoUMatrix,
     mask_iou,
+    masks_to_boxes,
     pack_masks,
     pairwise_iou_matrix,
     require_int,
@@ -301,6 +302,33 @@ def _rle_round_trip(rng, cases):
         bad_sets, sets, "sets of 1-8 masks: the set reader decodes like np.repeat"
     )
     return passed and sets_passed, f"{detail}; {sets_detail}"
+
+
+def _sparse_masks(rng, count: int, h: int, w: int) -> list:
+    """`count` h x w masks, each empty, full or of random pixels at a density
+    between 1e-4 and 1, so that the boxes vary in size."""
+    density = rng.choice([0.0, 1.0, 10 ** rng.uniform(-4.0, 0.0)], count)
+    return pack_masks(rng.random((count, h, w)) < density[:, None, None])
+
+
+@_check("boxes-vs-pixels", 100)
+def _boxes_vs_pixels(rng, cases):
+    """`masks_to_boxes` against `reference.mask_box` on `cases` sets of 1-8
+    masks 1-32 high and 1-200 wide, then on one set of 200x336 masks that
+    spans several `_SCRATCH_BYTES` batches."""
+    bad = []
+    for case in range(cases):
+        h, w = int(rng.integers(1, 33)), int(rng.integers(1, 201))
+        masks = _sparse_masks(rng, int(rng.integers(1, 9)), h, w)
+        if masks_to_boxes(masks) != [reference.mask_box(m) for m in masks]:
+            bad.append(case)
+    passed, detail = _failures(bad, cases, "sets of 1-8 masks: boxes equal the pixels'")
+    wide = _sparse_masks(rng, 40, 200, 336)  # 13 masks a batch
+    wide_passed = masks_to_boxes(wide) == [reference.mask_box(m) for m in wide]
+    return passed and wide_passed, (
+        f"{detail}; {len(wide)} masks of 200x336: "
+        + ("boxes equal the pixels'" if wide_passed else "a box differs")
+    )
 
 
 @_check("pairwise-iou", 40)

@@ -220,7 +220,11 @@ class FusionWeights:
     def seeded(
         cls, num_levels: int, channels: int, out_channels: int, seed: int = 0
     ) -> "FusionWeights":
-        """Deterministic weights from an int seed >= 0 (stand-in for trained ones)."""
+        """Deterministic weights from an int seed >= 0 (stand-in for trained
+        ones); the three sizes are ints >= 1."""
+        require_int(num_levels, "num_levels", 1)
+        require_int(channels, "channels", 1)
+        require_int(out_channels, "out_channels", 1)
         rng = np.random.default_rng(require_int(seed, "seed", 0))
 
         def stage(shape: tuple) -> NormConvStage:

@@ -7,7 +7,6 @@ from typing import Sequence
 
 from .dynahead import Instance
 from .masks import (
-    check_mask_set_size,
     check_same_dims,
     decode_counts,
     mask_to_box,  # noqa: F401 - perfbench's traced run wraps formats.mask_to_box
@@ -48,21 +47,18 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
 
 
 def mask_set_from_dict(doc: dict) -> list:
-    """Parse a mask-set document. Dimensions, counts and categories must be
-    JSON integers, dimensions at least 1 even for an empty set, counts JSON
-    lists and scores JSON numbers; nothing is coerced. A set that would
-    decode to more than `masks.MAX_MASK_SET_PIXELS` padded pixels (each row
-    padded to whole words) is rejected before anything is decoded.
-    Every rejection is a ValueError starting with "malformed mask set".
+    """Parse a mask-set document. `instances` must be a JSON list, each
+    instance's counts a JSON list and its score a JSON number; nothing is
+    coerced. Every rejection is a ValueError starting with "malformed mask set".
 
-    The whole set is checked and decoded at once (`masks.decode_counts`):
-    the masks' words are the rows of one shared read-only block."""
+    The whole set is checked and decoded at once by `masks.decode_counts`,
+    which applies the dimension, size-cap and count rules (to an empty set
+    too) before it allocates anything: the masks' words are the rows of one
+    shared read-only block. Categories must be ints >= 0 (`ScoredMask`)."""
     try:
-        # Checked here, not only by decode_counts, so an empty set is held to it too.
-        h = require_int(doc["height"], "height", 1)
-        w = require_int(doc["width"], "width", 1)
-        instances = doc["instances"]
-        check_mask_set_size(h, w, len(instances))
+        h, w, instances = doc["height"], doc["width"], doc["instances"]
+        if type(instances) is not list:
+            raise ValueError(f"instances must be a list, got {type(instances).__name__}")
         counts = [e["counts"] for e in instances]
         for c in counts:
             if type(c) is not list:

@@ -446,7 +446,9 @@ def mask_to_box(mask: BinaryMask) -> Box:
 
 
 def box_to_mask(box: Box, height: int, width: int) -> BinaryMask:
-    """Paint a box as a filled mask on an H x W canvas."""
+    """Paint a box as a filled mask on an H x W canvas (ints >= 1)."""
+    require_int(height, "height", 1)
+    require_int(width, "width", 1)
     if box.x_max >= width or box.y_max >= height:
         raise ValueError("box exceeds canvas")
     arr = np.zeros((height, width), dtype=bool)

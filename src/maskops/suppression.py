@@ -88,6 +88,8 @@ class SuppressionConfig:
             raise ValueError("score_threshold must be non-negative")
         if self.top_k is not None:
             require_int(self.top_k, "top_k", 1)
+        if type(self.class_agnostic) is not bool:
+            raise ValueError(f"class_agnostic must be a bool, got {self.class_agnostic!r}")
 
 
 @dataclass(frozen=True)
@@ -154,18 +156,16 @@ def matrix_nms(
     no data-dependent loop: two matrix reductions.
     """
     scores = _sorted_scores(masks, ious)
-    n = scores.size
-    if n == 0:
-        return SuppressionResult((), ())
     v = ious.values
-    cmax = v.max(axis=0)
+    # Each reduction has an identity (`initial=`), so n = 0 takes this path too.
+    cmax = v.max(axis=0, initial=0.0)
     if decay.kind == "gauss":
         # min of exp(x/sigma) == exp(min(x)/sigma): one exp pass over n values.
         # The single reused temporary matters at N ~ 500: a second n x n
         # buffer pushes each call into fresh mmap traffic.
         expo = np.multiply(v, v)
         np.subtract((cmax * cmax)[:, None], expo, out=expo)
-        dvec = expo.min(axis=0)
+        dvec = expo.min(axis=0, initial=np.inf)
         dvec /= decay.sigma
         np.exp(dvec, out=dvec)
     else:
@@ -180,7 +180,7 @@ def matrix_nms(
             # anyone; +inf loses every min against a finite ratio.
             terms[singular, :] = np.inf
         # Column 0 is all zeros, so row 0 is never singular: dvec is finite.
-        dvec = terms.min(axis=0)
+        dvec = terms.min(axis=0, initial=np.inf)
     np.minimum(dvec, 1.0, out=dvec)
     updated = scores * dvec
     keep = _keep_mask(updated, score_threshold)
@@ -219,9 +219,7 @@ def fast_nms(
     neighbor that was itself removed — so its kept set is always a subset.
     """
     scores = _sorted_scores(masks, ious)
-    if scores.size == 0:
-        return SuppressionResult((), ())
-    keep = ious.values.max(axis=0) <= iou_threshold
+    keep = ious.values.max(axis=0, initial=0.0) <= iou_threshold
     idx = np.flatnonzero(keep)
     return SuppressionResult(tuple(idx.tolist()), tuple(scores[idx].tolist()))
 
@@ -291,8 +289,6 @@ def suppress(
     updated score with original index as the tie-break.
     """
     cfg = config or SuppressionConfig()
-    if not masks:
-        return SuppressionResult((), ())
     # One sort of the whole pool: each group keeps its (-score, index) order.
     groups = {}
     for i in sort_by_score(masks):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from maskops import (
     BenchReport,
     BinaryMask,
+    Box,
     DecayFn,
     IoUMatrix,
     ScoredMask,
@@ -75,6 +76,7 @@ def test_run_verification_all_pass():
     checks = run_verification(seed=0)
     assert [c.name for c in checks] == list(bench.CHECKS) == [
         "rle-round-trip",
+        "boxes-vs-pixels",
         "pairwise-iou",
         "matrix-vs-naive",
         "soft-matrix-n2",
@@ -174,6 +176,26 @@ def test_mask_logit_cutoff_check_catches_a_plain_zero(monkeypatch):
     assert bench.CHECKS["mask-logit-cutoff"](np.random.default_rng(0)).passed
     monkeypatch.setattr(dynahead, "_MASK_LOGIT_CUTOFF", 0.0)
     assert not bench.CHECKS["mask-logit-cutoff"](np.random.default_rng(0)).passed
+
+
+def test_boxes_check_catches_a_wrong_box_and_a_lost_batch(monkeypatch):
+    check = bench.CHECKS["boxes-vs-pixels"]
+    assert check(np.random.default_rng(0)).passed
+    real = bench.masks_to_boxes
+
+    def one_row(masks):  # every box ends on its first row
+        return [b and Box(b.x_min, b.y_min, b.x_max, b.y_min) for b in real(masks)]
+
+    monkeypatch.setattr(bench, "masks_to_boxes", one_row)
+    assert not check(np.random.default_rng(0)).passed
+
+    def first_batch(masks):  # only the first 13 masks of 200x336 are boxed
+        return real(masks)[:13] + [None] * max(0, len(masks) - 13)
+
+    # The small sets hold at most 8 masks, so only the 200x336 set sees this.
+    monkeypatch.setattr(bench, "masks_to_boxes", first_batch)
+    got = check(np.random.default_rng(0))
+    assert not got.passed and got.detail.startswith("100/100 ")
 
 
 def test_cross_check_guards_bench(monkeypatch):

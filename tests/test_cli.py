@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from maskops import formats
+from maskops import masks
 from maskops.cli import main
 
 
@@ -174,6 +174,18 @@ def test_empty_mask_set_with_bad_dims_exits_2(tmp_path, capsys, dims):
     assert f"malformed mask set: {name} must be an int >= 1, got {value}\n" in err
 
 
+@pytest.mark.parametrize("instances", [{}, "", {"a": 1}])
+def test_non_list_instances_exits_2(tmp_path, capsys, instances):
+    # {} and "" were once read as an empty set and kept nothing with exit 0.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"height": 4, "width": 4, "instances": instances}))
+    code, out, err = run_cli(["suppress", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    kind = type(instances).__name__
+    assert f"malformed mask set: instances must be a list, got {kind}\n" in err
+
+
 def test_oversized_mask_set_exits_2(tmp_path, capsys):
     # A count past int64 once escaped as an OverflowError traceback.
     huge = tmp_path / "huge.json"
@@ -194,7 +206,7 @@ def test_one_pixel_wide_mask_set_is_capped_by_padded_rows(tmp_path, capsys, monk
         "height": 1 << 27, "width": 1,
         "instances": [{"counts": [1 << 27], "score": 0.5}],
     }))
-    monkeypatch.setattr(formats, "decode_counts", lambda *a: pytest.fail("decoded"))
+    monkeypatch.setattr(masks, "_checked_counts", lambda *a: pytest.fail("decoded"))
     code, out, err = run_cli(["suppress", str(narrow)], capsys)
     assert code == 2
     assert out == ""

@@ -441,6 +441,11 @@ def test_seeded_fusion_weights_reject_at_construction():
         FusionWeights.seeded(2, 4, 6)
     with pytest.raises(ValueError):
         FusionWeights.seeded(0, 4, 4)
+    # The sizes are exact ints >= 1: True once built a one-level network,
+    # and a float or a bool channel count raised TypeError.
+    for sizes in ((True, 8, 8), (2, 8, np.int64(8)), (1.0, 8, 8), (2, True, 8), (2, 0, 8)):
+        with pytest.raises(ValueError, match="must be an int >= 1"):
+            FusionWeights.seeded(*sizes)
     with pytest.raises(ValueError):
         FusionWeights((), _stage(4, 4))
 

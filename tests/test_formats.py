@@ -121,6 +121,10 @@ def test_mask_set_rejects_mixed_dims():
         {"height": 4, "width": -5, "instances": []},
         {"height": 0, "width": -5, "instances": []},
         {"height": 0, "width": 0, "instances": []},
+        # instances must be a list: the first two were read as empty sets.
+        {"height": 4, "width": 4, "instances": {}},
+        {"height": 4, "width": 4, "instances": ""},
+        {"height": 4, "width": 4, "instances": {"a": 1}},
     ],
 )
 def test_malformed_mask_set(doc):

@@ -560,6 +560,11 @@ def test_box_validation():
         Box(-1, 0, 1, 1)
     with pytest.raises(ValueError):
         box_to_mask(Box(0, 0, 5, 5), 4, 4)
+    # The canvas sides are exact ints >= 1: True once raised TypeError and
+    # 0 said "box exceeds canvas".
+    for h, w in ((True, 3), (0, 3), (3, 2.0), (3, np.int64(3))):
+        with pytest.raises(ValueError, match="must be an int >= 1"):
+            box_to_mask(Box(0, 0, 0, 0), h, w)
 
 
 NOT_EXACT_INTS = [2.5, True, np.int64(2)]

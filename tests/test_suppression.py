@@ -236,6 +236,15 @@ def test_suppress_empty():
     assert len(suppress([], SuppressionConfig())) == 0
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_each_method_is_empty_for_no_masks(method):
+    # No method has an n = 0 branch: the general path must give this.
+    for kind in ("linear", "gauss"):
+        config = SuppressionConfig(decay=DecayFn(kind))
+        res = run_method(method, scored(), upper(0, {}), config)
+        assert res.kept_indices == () and res.updated_scores == ()
+
+
 def test_suppress_two_categories_never_interact():
     a = ScoredMask(DUMMY, 0.9, 0)
     b = ScoredMask(DUMMY, 0.8, 1)  # identical masks, different classes
@@ -450,5 +459,11 @@ def test_config_validation():
         for bad in (True, False, np.bool_(True), np.inf):
             with pytest.raises(ValueError, match=f"{field} must be a real number"):
                 SuppressionConfig(**{field: bad})
+    # class_agnostic is exactly a bool: "no" and 1 once pooled every
+    # category, None and 0.0 once grouped by it.
+    for bad in ("no", 1, None, 0.0, np.bool_(True)):
+        with pytest.raises(ValueError, match="class_agnostic must be a bool"):
+            SuppressionConfig(class_agnostic=bad)
+    assert SuppressionConfig(class_agnostic=True).class_agnostic is True
     with pytest.raises(ValueError):
         run_method("other", scored(0.9), upper(1, {}), SuppressionConfig())
