@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dynahead, formats, reference
+from . import dynahead, formats, reference, scenes
 from .dynahead import CategoryGrid, FusionWeights, KernelGrid, PyramidLevels
 from .dynahead import (
     FeatureMap,
@@ -34,6 +34,7 @@ from .losses import dice_loss, focal_loss
 from .masks import (
     BinaryMask,
     IoUMatrix,
+    encode_counts,
     mask_iou,
     masks_to_boxes,
     pack_masks,
@@ -42,7 +43,7 @@ from .masks import (
     rle_decode,
     rle_encode,
 )
-from .scenes import SceneSpec, gen_scene
+from .scenes import SHAPES, SceneSpec, gen_scene
 from .suppression import (
     METHODS,
     DecayFn,
@@ -268,9 +269,11 @@ def _failures(bad: list, cases: int, what: str) -> tuple:
 @_check("rle-round-trip", 300)
 def _rle_round_trip(rng, cases):
     """`cases` masks through encode and decode one at a time, then
-    `cases // 10` sets of 1-8 masks (widths 1-200) through
-    `formats.mask_set_from_dict`, each mask checked against the `np.repeat`
-    decoder."""
+    `cases // 10` sets of 1-8 masks (widths 1-200) and one set of 40 masks
+    of 200x336 (several `_SCRATCH_BYTES` chunks): each set is encoded by
+    `encode_counts`, checked against `reference.rle_encode_runs`, and read
+    back by `formats.mask_set_from_dict`, each mask checked against the
+    `np.repeat` decoder."""
     bad = []
     for case in range(cases):
         h, w = (int(v) for v in rng.integers(1, 33, 2))
@@ -285,21 +288,29 @@ def _rle_round_trip(rng, cases):
             bad.append(case)
     sets = cases // 10
     bad_sets = []
-    for case in range(sets):
-        h, w = int(rng.integers(1, 9)), int(rng.integers(1, 201))
-        # Densities 0 and 1 give all-empty and all-full masks.
-        density = rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)], int(rng.integers(1, 9)))
-        masks = [BinaryMask.from_array(rng.random((h, w)) < d) for d in density]
-        counts = [list(rle_encode(m).counts) for m in masks]
+    for case in range(sets + 1):
+        if case < sets:
+            h, w = int(rng.integers(1, 9)), int(rng.integers(1, 201))
+            # Densities 0 and 1 give all-empty and all-full masks.
+            density = rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)], int(rng.integers(1, 9)))
+            masks = [BinaryMask.from_array(rng.random((h, w)) < d) for d in density]
+        else:
+            h, w = 200, 336
+            masks = _sparse_masks(rng, 40, h, w)
+        counts = encode_counts(masks)
         doc = {"height": h, "width": w,
                "instances": [{"counts": c, "score": 0.5} for c in counts]}
         got = [m.mask for m in formats.mask_set_from_dict(doc)]
         want = [reference.rle_decode_repeat(c, h, w) for c in counts]
-        if got != want or got != masks:
+        runs = [reference.rle_encode_runs(m) for m in masks]
+        if counts != runs or got != want or got != masks:
             bad_sets.append(case)
     passed, detail = _failures(bad, cases, "masks: decode restores them, re-encode is identical")
     sets_passed, sets_detail = _failures(
-        bad_sets, sets, "sets of 1-8 masks: the set reader decodes like np.repeat"
+        bad_sets,
+        sets + 1,
+        "sets (1-8 masks, and 40 of 200x336): encode_counts equals the per-mask "
+        "encoder, the set reader decodes like np.repeat",
     )
     return passed and sets_passed, f"{detail}; {sets_detail}"
 
@@ -490,15 +501,33 @@ def _loss_gradients(rng, cases):
     )
 
 
+_SCENE_SIZES = ((128, 128), (37, 100), (200, 336))
+
+
 @_check("scene-generation", 1)
 def _scene_generation(rng, cases):
+    """`cases` seeds, each a scene of 5 instances x 5 masks per shape and
+    size in _SCENE_SIZES: a rerun is identical, and each mask equals the one
+    `reference.paint_shape` paints from the scene's drawn shape."""
     bad = []
     for case in range(cases):
-        spec = SceneSpec(num_instances=5, seed=int(rng.integers(0, 2**31)))
-        scene = gen_scene(spec)
-        if len(scene) != spec.total_masks or gen_scene(spec) != scene:
-            bad.append(case)
-    return _failures(bad, cases, "scenes of 25 masks: rerun identical")
+        seed = int(rng.integers(0, 2**31))
+        for shape, (h, w) in itertools.product(SHAPES, _SCENE_SIZES):
+            spec = SceneSpec(height=h, width=w, num_instances=5, shape=shape, seed=seed)
+            scene = gen_scene(spec)
+            want = [reference.paint_shape(spec, *s[:4]) for s in scenes._draw(spec)]
+            if (
+                len(scene) != spec.total_masks
+                or gen_scene(spec) != scene
+                or [m.mask for m in scene] != want
+            ):
+                bad.append(case)
+                break
+    sizes = ", ".join(f"{h}x{w}" for h, w in _SCENE_SIZES)
+    return _failures(
+        bad, cases, f"seeds, 25 masks per shape at {sizes}: rerun identical, "
+        "masks equal the reference painter's",
+    )
 
 
 def seeded_pipeline_inputs(seed: int = 0):

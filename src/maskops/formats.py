@@ -7,12 +7,11 @@ from typing import Sequence
 
 from .dynahead import Instance
 from .masks import (
-    check_same_dims,
     decode_counts,
+    encode_counts,
     mask_to_box,  # noqa: F401 - perfbench's traced run wraps formats.mask_to_box
     masks_to_boxes,
     require_int,
-    rle_encode,
 )
 from .suppression import ScoredMask, SuppressionResult
 
@@ -34,14 +33,9 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
     h, w = masks[0].mask.height, masks[0].mask.width
     if height not in (None, h) or width not in (None, w):
         raise ValueError(f"dimensions {height}x{width} differ from the masks' {h}x{w}")
-    check_same_dims(*(m.mask for m in masks))
     instances = [
-        {
-            "score": m.score,
-            "category": m.category,
-            "counts": list(rle_encode(m.mask).counts),
-        }
-        for m in masks
+        {"score": m.score, "category": m.category, "counts": counts}
+        for m, counts in zip(masks, encode_counts([m.mask for m in masks]))
     ]
     return {"height": h, "width": w, "instances": instances}
 
@@ -102,8 +96,9 @@ def kept_to_dict(masks: Sequence[ScoredMask], result: SuppressionResult) -> dict
 
 
 def instances_to_dict(instances: Sequence[Instance]) -> dict:
+    """Pipeline output record; the instances' masks must share dimensions."""
     out = []
-    for inst in instances:
+    for inst, counts in zip(instances, encode_counts([i.mask for i in instances])):
         out.append(
             {
                 "score": inst.score,
@@ -111,7 +106,7 @@ def instances_to_dict(instances: Sequence[Instance]) -> dict:
                 "box": [inst.box.x_min, inst.box.y_min, inst.box.x_max, inst.box.y_max],
                 "height": inst.mask.height,
                 "width": inst.mask.width,
-                "counts": list(rle_encode(inst.mask).counts),
+                "counts": counts,
             }
         )
     return {"instances": out}

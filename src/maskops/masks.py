@@ -20,9 +20,10 @@ _WORD_BITS = 64
 # `check_mask_set_size`.
 MAX_MASK_SET_PIXELS = 1 << 27
 
-# Bytes of scratch space `decode_counts` and `masks_to_boxes` work through:
-# each takes as many masks at a time as fit (at least one), so neither holds
-# a temporary the size of the whole set.
+# Bytes of scratch space that `decode_counts`, `encode_counts`,
+# `masks_to_boxes` and `pack_outer` work through: each takes as many masks
+# at a time as fit (`_scratch_rows`), so none holds a temporary the size of
+# the whole set.
 _SCRATCH_BYTES = 1 << 17
 
 
@@ -60,11 +61,18 @@ def _row_tail(width: int) -> np.uint64:
     return np.uint64((1 << ((width - 1) % _WORD_BITS + 1)) - 1)
 
 
+def _scratch_rows(n_words: int) -> int:
+    """How many masks of `n_words` words each fit in _SCRATCH_BYTES, and at
+    least one."""
+    return max(1, _SCRATCH_BYTES // (8 * n_words))
+
+
 def check_mask_set_size(height: int, width: int, count: int):
     """A ValueError if `count` masks of height x width, each row padded to
-    whole words, exceed MAX_MASK_SET_PIXELS."""
+    whole words, exceed MAX_MASK_SET_PIXELS. An empty set is sized as one
+    mask, so its dimensions alone must fit too."""
     row = _WORD_BITS * _row_words(width)
-    if height * row * count > MAX_MASK_SET_PIXELS:
+    if height * row * max(count, 1) > MAX_MASK_SET_PIXELS:
         raise ValueError(
             f"{count} masks of {height}x{width} (rows padded to {row} pixels) "
             f"exceed {MAX_MASK_SET_PIXELS} pixels"
@@ -164,6 +172,25 @@ def pack_masks(bits: np.ndarray) -> list:
     return _block_masks(_pack_rows(bits), *bits.shape[1:])
 
 
+def pack_outer(in_rows: np.ndarray, in_cols: np.ndarray) -> list:
+    """One BinaryMask per row i of an (n, h) boolean row test and an (n, w)
+    column test, whose pixel (y, x) is in_rows[i, y] & in_cols[i, x]. Each
+    image row of mask i is either zero words or its packed column test, so
+    no pixel array is built. The masks are packed `_scratch_rows` at a time,
+    and each chunk's words are one shared read-only block."""
+    (n, h), w = in_rows.shape, in_cols.shape[1]
+    row_words = _pack_rows(in_cols[:, None, :])
+    cols = row_words.shape[1]
+    step = _scratch_rows(h * cols)
+    masks = []
+    for top in range(0, n, step):
+        words, tests = row_words[top : top + step], in_rows[top : top + step]
+        block = np.zeros((len(words), h * cols), dtype=np.uint64)
+        np.copyto(block.reshape(-1, h, cols), words[:, None], where=tests[:, :, None])
+        masks += _block_masks(block, h, w)
+    return masks
+
+
 @dataclass(frozen=True)
 class RleMask:
     """Run-length encoding of a row-major mask.
@@ -252,7 +279,7 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
     cols = _row_words(width)
     n, n_words = len(count_lists), height * cols
     block = np.zeros((n, n_words), dtype=np.uint64)
-    rows = max(1, _SCRATCH_BYTES // (8 * n_words))
+    rows = _scratch_rows(n_words)
     scratch = np.empty((min(rows, n), n_words), dtype=np.uint64)
     for top in range(0, n, rows):
         part = block[top : top + rows]
@@ -279,14 +306,45 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
     return _block_masks(block, height, width)
 
 
+def encode_counts(masks: Sequence[BinaryMask]) -> list:
+    """The inverse of `decode_counts`: the RLE counts of each of a set of
+    masks that share dimensions, as a list of ints (RleMask's rules), with a
+    leading 0 when its first pixel is set.
+
+    The masks are unpacked a few at a time and laid end to end, each pixel
+    compared with the one before it in its mask (a mask's first pixel with
+    background), so one `flatnonzero` finds every run start. Each mask's
+    counts are the gaps between its run starts and its end."""
+    if not masks:
+        return []
+    check_same_dims(*masks)
+    h, w = masks[0].height, masks[0].width
+    pixels = h * w
+    # Each word unpacks to 64 bytes, so a chunk's pixels fit _SCRATCH_BYTES.
+    rows = _scratch_rows(8 * h * _row_words(w))
+    count_lists = []
+    for top in range(0, len(masks), rows):
+        chunk = masks[top : top + rows]
+        k = len(chunk)
+        flat = _unpack_rows(np.array([m.words for m in chunk]), h, w).reshape(k, pixels)
+        starts = np.empty((k, pixels), dtype=bool)
+        starts[:, 0] = flat[:, 0]
+        np.not_equal(flat[:, 1:], flat[:, :-1], out=starts[:, 1:])
+        starts = np.flatnonzero(starts)
+        # Mask r ends at pixel (r + 1) * pixels of the chunk, after cut[r]
+        # run starts, so its end is bounds[cut[r] + r] and its last count
+        # is runs[cut[r] + r].
+        ends = pixels * np.arange(1, k + 1)
+        cut = np.searchsorted(starts, ends)
+        bounds = np.insert(starts, cut, ends)
+        runs = np.diff(bounds, prepend=0).tolist()
+        stops = (cut + np.arange(1, k + 1)).tolist()
+        count_lists += [runs[a:b] for a, b in zip([0] + stops[:-1], stops)]
+    return count_lists
+
+
 def rle_encode(mask: BinaryMask) -> RleMask:
-    flat = _unpack_rows(mask.words[None], mask.height, mask.width).reshape(-1)
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1  # where a new run starts
-    bounds = np.concatenate(([0], edges, [flat.size]))
-    counts = np.diff(bounds)
-    if flat[0]:  # leading zero-length background run
-        counts = np.concatenate(([0], counts))
-    return RleMask(mask.height, mask.width, tuple(counts.tolist()))
+    return RleMask(mask.height, mask.width, tuple(encode_counts([mask])[0]))
 
 
 def rle_decode(rle: RleMask) -> BinaryMask:
@@ -418,7 +476,7 @@ def masks_to_boxes(masks: Sequence[BinaryMask]) -> list:
     check_same_dims(*masks)
     h, w = masks[0].height, masks[0].width
     cols = _row_words(w)
-    step = max(1, _SCRATCH_BYTES // (8 * h * cols))
+    step = _scratch_rows(h * cols)
     boxes = []
     for top in range(0, len(masks), step):
         words = np.array([m.words for m in masks[top : top + step]]).reshape(-1, h, cols)

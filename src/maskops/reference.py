@@ -55,6 +55,30 @@ def rle_decode_repeat(counts: Sequence[int], height: int, width: int) -> BinaryM
     return BinaryMask.from_array(flat.reshape(height, width))
 
 
+def rle_encode_runs(mask: BinaryMask) -> list:
+    """One mask's RLE counts (background first) from the differences of its
+    unpacked pixels."""
+    flat = mask.to_array().reshape(-1)
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1  # where a new run starts
+    bounds = np.concatenate(([0], edges, [flat.size]))
+    counts = np.diff(bounds)
+    if flat[0]:  # leading zero-length background run
+        counts = np.concatenate(([0], counts))
+    return counts.tolist()
+
+
+def paint_shape(spec, cy: float, cx: float, ry: float, rx: float) -> BinaryMask:
+    """Paint one shape of a `SceneSpec`, clipped to the canvas, from a full
+    H x W pixel array."""
+    ys = np.arange(spec.height)[:, None]
+    xs = np.arange(spec.width)[None, :]
+    if spec.shape == "rectangle":
+        arr = (np.abs(ys - cy) <= ry) & (np.abs(xs - cx) <= rx)
+    else:
+        arr = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
+    return BinaryMask.from_array(arr)
+
+
 def mask_box(mask: BinaryMask) -> Box | None:
     """Tight bounding box read from the mask's pixels; None if it is empty."""
     arr = mask.to_array()

@@ -82,6 +82,8 @@ class SuppressionConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if not isinstance(self.decay, DecayFn):
+            raise ValueError(f"decay must be a DecayFn, got {self.decay!r}")
         if not 0.0 <= require_finite(self.iou_threshold, "iou_threshold") <= 1.0:
             raise ValueError("iou_threshold must be in [0, 1]")
         if require_finite(self.score_threshold, "score_threshold") < 0.0:

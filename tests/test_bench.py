@@ -17,7 +17,7 @@ from maskops import (
     run_verification,
     score_checksum,
 )
-from maskops import dynahead
+from maskops import dynahead, scenes
 from maskops.bench import VerificationError, seeded_pipeline_inputs
 
 SMALL = SceneSpec(num_instances=6, num_duplicates_per_instance=2, seed=2)
@@ -196,6 +196,32 @@ def test_boxes_check_catches_a_wrong_box_and_a_lost_batch(monkeypatch):
     monkeypatch.setattr(bench, "masks_to_boxes", first_batch)
     got = check(np.random.default_rng(0))
     assert not got.passed and got.detail.startswith("100/100 ")
+
+
+def test_rle_check_catches_a_wrong_encoder_and_a_lost_chunk(monkeypatch):
+    check = bench.CHECKS["rle-round-trip"]
+    assert check(np.random.default_rng(0)).passed
+    real = bench.encode_counts
+
+    def lost_chunk(masks):  # masks past the first 13 get the first's counts
+        return real(masks[:13]) + real(masks[:1]) * max(0, len(masks) - 13)
+
+    # The small sets hold at most 8 masks, so only the 200x336 set sees this.
+    monkeypatch.setattr(bench, "encode_counts", lost_chunk)
+    got = check(np.random.default_rng(0))
+    assert not got.passed and "30/31 sets" in got.detail
+
+
+def test_scene_check_catches_a_wrong_painter(monkeypatch):
+    check = bench.CHECKS["scene-generation"]
+    assert check(np.random.default_rng(0)).passed
+    real = scenes._paint_blocks
+
+    def as_rectangles(spec, *shapes):  # ellipses painted as their boxes
+        return real(SceneSpec(spec.height, spec.width, seed=spec.seed), *shapes)
+
+    monkeypatch.setattr(scenes, "_paint_blocks", as_rectangles)
+    assert not check(np.random.default_rng(0)).passed
 
 
 def test_cross_check_guards_bench(monkeypatch):

@@ -198,6 +198,22 @@ def test_oversized_mask_set_exits_2(tmp_path, capsys):
     assert "malformed mask set" in err
 
 
+@pytest.mark.parametrize("side", [100000, 10**10, 2**40])
+def test_oversized_empty_mask_set_exits_2(tmp_path, capsys, side):
+    # An empty set is sized as one mask. 100000 x 100000 once exited 0 and
+    # kept nothing; the larger sides exited 2 with NumPy's messages.
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"height": side, "width": side, "instances": []}))
+    code, out, err = run_cli(["suppress", str(empty)], capsys)
+    assert code == 2
+    assert out == ""
+    row = -(-side // 64) * 64
+    assert err == (
+        f"error: malformed mask set: 0 masks of {side}x{side} (rows padded to "
+        f"{row} pixels) exceed {masks.MAX_MASK_SET_PIXELS} pixels\n"
+    )
+
+
 def test_one_pixel_wide_mask_set_is_capped_by_padded_rows(tmp_path, capsys, monkeypatch):
     # 2**27 pixels, but each of its 2**27 one-pixel rows is a whole word:
     # 2**33 padded pixels (1 GiB of words), so it fails before any decode.
@@ -237,6 +253,11 @@ def test_oversized_scene_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "exceed" in err
+    # An empty scene is sized as one mask, as an empty mask-set file is.
+    code, out, err = run_cli([*argv[:6], "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 0 masks of 100000x100000") and "exceed" in err
 
 
 @pytest.mark.parametrize("command", [["gen", "--instances", "1"], ["verify"]])

@@ -121,6 +121,11 @@ def test_mask_set_rejects_mixed_dims():
         {"height": 4, "width": -5, "instances": []},
         {"height": 0, "width": -5, "instances": []},
         {"height": 0, "width": 0, "instances": []},
+        # An empty set is sized as one mask: the first was read as an empty
+        # set, and the other two failed inside NumPy, not at the cap.
+        {"height": 100000, "width": 100000, "instances": []},
+        {"height": 10000000000, "width": 10000000000, "instances": []},
+        {"height": 2**40, "width": 2**40, "instances": []},
         # instances must be a list: the first two were read as empty sets.
         {"height": 4, "width": 4, "instances": {}},
         {"height": 4, "width": 4, "instances": ""},

@@ -415,6 +415,68 @@ def test_pack_rows_inverts_unpack_rows_at_any_width(bits):
 
 
 @st.composite
+def _count_stacks(draw):
+    """An (n, h, w) boolean stack, w in 1-200, whose masks are each random,
+    empty, full or random with the first pixel set, and a scratch size: 1
+    byte encodes one mask at a time, 48 and 300 a few, 2**17 is the default."""
+    n, h = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    w = draw(st.sampled_from(_EDGE_WIDTHS) | st.integers(1, 200))
+    bits = draw(arrays(bool, (n, h, w)))
+    for i, kind in enumerate(draw(st.lists(st.sampled_from("rzfs"), min_size=n, max_size=n))):
+        if kind == "z":
+            bits[i] = False
+        elif kind == "f":
+            bits[i] = True
+        elif kind == "s":
+            bits[i, 0, 0] = True
+    return bits, draw(st.sampled_from([1, 48, 300, 1 << 17]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_count_stacks())
+# The edge-width mask starts with a set pixel; its complement does not.
+@_at_edge_widths(lambda a: (np.stack([a, ~a, np.zeros_like(a), np.ones_like(a), a]), 48))
+def test_encode_counts_is_the_per_mask_encoder_and_inverts_decode_counts(case):
+    bits, scratch = case
+    n, h, w = bits.shape
+    masks = masks_module.pack_masks(bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masks_module, "_SCRATCH_BYTES", scratch)
+        counts = masks_module.encode_counts(masks)
+    assert counts == [reference.rle_encode_runs(m) for m in masks]
+    assert {type(c) for mask_counts in counts for c in mask_counts} == {int}
+    assert masks_module.decode_counts(counts, h, w) == masks
+
+
+_outer_dims = st.tuples(
+    st.integers(1, 9), st.integers(1, 5), st.sampled_from(_EDGE_WIDTHS) | st.integers(1, 200)
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    _outer_dims.flatmap(lambda d: st.tuples(arrays(bool, d[:2]), arrays(bool, (d[0], d[2])))),
+    st.sampled_from([1, 48, 300, 1 << 17]),
+)
+def test_pack_outer_packs_the_outer_product_of_row_and_column_tests(tests, scratch):
+    rows, cols = tests
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masks_module, "_SCRATCH_BYTES", scratch)
+        got = masks_module.pack_outer(rows, cols)
+    assert got == masks_module.pack_masks(rows[:, :, None] & cols[:, None, :])
+    for m in got:
+        assert not m.words.flags.writeable and not m.words.base.flags.writeable
+
+
+def test_encode_counts_needs_shared_dims():
+    a = BinaryMask.from_array(np.ones((2, 2)))
+    b = BinaryMask.from_array(np.ones((2, 3)))
+    assert masks_module.encode_counts([]) == []
+    with pytest.raises(ValueError, match="share dimensions"):
+        masks_module.encode_counts([a, a, b])
+
+
+@st.composite
 def _padding_bits(draw):
     """(h, w, row, bit): a width with padding (not a multiple of 64), and one
     padding bit of one row, indexed in that row's words (`bit` >= w)."""

@@ -1,13 +1,53 @@
 import numpy as np
 import pytest
 
-from maskops import SceneSpec, gen_scene, mask_iou, sort_by_score
+from maskops import SceneSpec, gen_scene, mask_iou, reference, scenes, sort_by_score
 from maskops import masks as masks_module
 from maskops.reference import greedy_keep
 
 
 def test_empty_scene():
     assert gen_scene(SceneSpec(num_instances=0)) == []
+
+
+@pytest.mark.parametrize("shape", scenes.SHAPES)
+@pytest.mark.parametrize("h,w", [(8, 8), (37, 100), (128, 128), (200, 336)])
+@pytest.mark.parametrize("instances,duplicates", [(0, 2), (7, 0), (9, 4)])
+def test_gen_scene_equals_the_per_mask_painter(shape, h, w, instances, duplicates):
+    spec = SceneSpec(
+        height=h, width=w, num_instances=instances,
+        num_duplicates_per_instance=duplicates, shape=shape, seed=h * w,
+    )
+    scene, drawn = gen_scene(spec), scenes._draw(spec)
+    assert len(scene) == len(drawn) == spec.total_masks
+    assert [m.mask for m in scene] == [reference.paint_shape(spec, *d[:4]) for d in drawn]
+    assert [m.score for m in scene] == [d[4] for d in drawn]
+
+
+# 45 masks of 37x100 fit in one `_SCRATCH_BYTES` chunk of words; 45 of
+# 200x336 take four. An ellipse's chunk is sized by its float64 pixels.
+@pytest.mark.parametrize(
+    "shape,h,w,several",
+    [("rectangle", 37, 100, False), ("ellipse", 37, 100, True), ("rectangle", 200, 336, True)],
+)
+def test_scene_masks_are_read_only_rows_of_shared_blocks(shape, h, w, several):
+    spec = SceneSpec(
+        height=h, width=w, num_instances=9, num_duplicates_per_instance=4, shape=shape
+    )
+    scene = gen_scene(spec)
+    blocks = []  # each block with the index of its first mask
+    for i, m in enumerate(scene):
+        if not blocks or m.mask.words.base is not blocks[-1][1]:
+            blocks.append((i, m.mask.words.base))
+    for first, block in blocks:
+        assert block.dtype == np.uint64 and block.ndim == 2
+        assert not block.flags.writeable
+        for j, row in enumerate(block):
+            words = scene[first + j].mask.words
+            assert words.base is block and not words.flags.writeable
+            assert words.ctypes.data == row.ctypes.data and words.shape == row.shape
+    assert sum(len(block) for _, block in blocks) == len(scene)
+    assert len(blocks) < len(scene) and (len(blocks) > 1) == several
 
 
 def test_mask_count():
@@ -104,8 +144,10 @@ def test_spec_pixel_cap():
     for h, w, n in ((256, 256, 2049), (100000, 100000, 1)):
         with pytest.raises(ValueError, match="exceed"):
             SceneSpec(height=h, width=w, num_instances=n, num_duplicates_per_instance=0)
-    # An empty scene holds no pixels, whatever its canvas.
-    assert gen_scene(SceneSpec(height=100000, width=100000, num_instances=0)) == []
+    # An empty scene is sized as one mask, so its canvas alone must fit.
+    with pytest.raises(ValueError, match="0 masks of 100000x100000"):
+        SceneSpec(height=100000, width=100000, num_instances=0)
+    assert gen_scene(SceneSpec(height=8192, width=8192, num_instances=0)) == []
 
 
 def test_spec_pixel_cap_is_the_mask_set_cap(monkeypatch):

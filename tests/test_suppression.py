@@ -465,5 +465,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="class_agnostic must be a bool"):
             SuppressionConfig(class_agnostic=bad)
     assert SuppressionConfig(class_agnostic=True).class_agnostic is True
+    # decay is a DecayFn for every method: a kind name or None once passed
+    # here and failed inside suppress with an AttributeError.
+    for method in METHODS:
+        for bad in ("linear", None, 0.5):
+            with pytest.raises(ValueError, match="decay must be a DecayFn"):
+                SuppressionConfig(method=method, decay=bad)
     with pytest.raises(ValueError):
         run_method("other", scored(0.9), upper(1, {}), SuppressionConfig())
