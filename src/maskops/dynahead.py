@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .masks import BinaryMask, Box, masks_to_boxes, pack_masks, require_int
+from .masks import _row_words, _scratch_rows
 from .suppression import ScoredMask, SuppressionConfig, suppress
 
 
@@ -480,12 +481,6 @@ def mask_foreground(logits: np.ndarray) -> np.ndarray:
     return logits >= _MASK_LOGIT_CUTOFF
 
 
-LOGIT_BLOCK = 1 << 20
-"""assemble_masks holds at most this many float64 logits at once (8 MiB): it
-convolves the hit cells in blocks of max(1, LOGIT_BLOCK // (H * W)) cells, so
-its peak memory does not grow with the number of cells hit."""
-
-
 def assemble_masks(
     category: CategoryGrid, kernels: KernelGrid, feature: FeatureMap
 ) -> list:
@@ -495,11 +490,12 @@ def assemble_masks(
     yielding empty masks are dropped.
 
     The hit cells' kernels go through one batched product (`dynamic_conv`)
-    and one `mask_foreground` call per block of cells (see LOGIT_BLOCK), and
-    each block's masks are packed into one shared read-only block of words
-    (`masks.pack_masks`). A cell hit by several classes yields one
-    BinaryMask that its ScoredMasks share. Output order is (grid index k,
-    then category).
+    and one `mask_foreground` call per block of cells, and each block's
+    masks are packed into one shared read-only block of words
+    (`masks.pack_masks`). A block is one `masks._scratch_rows` chunk of
+    H x W masks, so its logits (64 float64 a word) stay within 8 MiB however
+    many cells are hit. A cell hit by several classes yields one BinaryMask
+    that its ScoredMasks share. Output order is (grid index k, then category).
     """
     if category.grid_size != kernels.grid_size:
         raise ValueError("category and kernel grids must agree in size")
@@ -509,7 +505,7 @@ def assemble_masks(
     rows, cols, classes = np.nonzero(category.data > CONFIDENCE_THRESHOLD)
     new_cell = np.diff(rows * category.grid_size + cols, prepend=-1) != 0
     hit_kernels = kernels.data[rows[new_cell], cols[new_cell]]
-    block = max(1, LOGIT_BLOCK // (feature.height * feature.width))
+    block = _scratch_rows(feature.height * _row_words(feature.width))
     cell_masks = []
     for start in range(0, len(hit_kernels), block):
         # Unnamed, each block's logits are freed once they are thresholded.

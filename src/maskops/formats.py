@@ -7,6 +7,7 @@ from typing import Sequence
 
 from .dynahead import Instance
 from .masks import (
+    check_mask_set_size,
     decode_counts,
     encode_counts,
     mask_to_box,  # noqa: F401 - perfbench's traced run wraps formats.mask_to_box
@@ -22,17 +23,20 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
     Explicit dimensions are only required for an empty set (e.g. a generated
     scene with zero instances); given for a non-empty set, they must equal
     the masks' own. Each given dimension must be an int >= 1; nothing is
-    coerced."""
+    coerced. A set its reader would reject for size
+    (`masks.check_mask_set_size`) is not written either."""
     for name, value in (("height", height), ("width", width)):
         if value is not None:
             require_int(value, name, 1)
-    if not masks:
-        if height is None or width is None:
-            raise ValueError("an empty mask set needs explicit dimensions")
-        return {"height": height, "width": width, "instances": []}
-    h, w = masks[0].mask.height, masks[0].mask.width
-    if height not in (None, h) or width not in (None, w):
-        raise ValueError(f"dimensions {height}x{width} differ from the masks' {h}x{w}")
+    if masks:
+        h, w = masks[0].mask.height, masks[0].mask.width
+        if height not in (None, h) or width not in (None, w):
+            raise ValueError(f"dimensions {height}x{width} differ from the masks' {h}x{w}")
+    elif height is None or width is None:
+        raise ValueError("an empty mask set needs explicit dimensions")
+    else:
+        h, w = height, width
+    check_mask_set_size(h, w, len(masks))
     instances = [
         {"score": m.score, "category": m.category, "counts": counts}
         for m, counts in zip(masks, encode_counts([m.mask for m in masks]))

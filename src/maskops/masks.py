@@ -21,9 +21,10 @@ _WORD_BITS = 64
 MAX_MASK_SET_PIXELS = 1 << 27
 
 # Bytes of scratch space that `decode_counts`, `encode_counts`,
-# `masks_to_boxes` and `pack_outer` work through: each takes as many masks
-# at a time as fit (`_scratch_rows`), so none holds a temporary the size of
-# the whole set.
+# `masks_to_boxes`, `pack_outer`, `scenes.gen_scene` and
+# `dynahead.assemble_masks` work through: each takes as many masks at a time
+# as fit (`_scratch_rows`), so none holds a temporary the size of the whole
+# set.
 _SCRATCH_BYTES = 1 << 17
 
 

@@ -37,7 +37,12 @@ def naive_matrix_decay(
         for i in range(j):
             iou = iou_rows[i][j]
             if kind == "gauss":
-                term = math.exp((cmax[i] * cmax[i] - iou * iou) / sigma)
+                expo = cmax[i] * cmax[i] - iou * iou
+                # A positive exponent gives a term above the starting decay
+                # of 1, which never lowers it; math.exp overflows past ~709.78.
+                if expo > 0.0:
+                    continue
+                term = math.exp(expo / sigma)
             else:
                 den = 1.0 - cmax[i]
                 term = (1.0 - iou) / den if den > 0.0 else math.inf

@@ -45,7 +45,11 @@ class ScoredMask:
 @dataclass(frozen=True)
 class DecayFn:
     """Monotonically decreasing IoU penalty: linear `1 - iou` or
-    gaussian `exp(-iou**2 / sigma)`."""
+    gaussian `exp(-iou**2 / sigma)`.
+
+    sigma is at least the smallest normal float64 (about 2.2e-308): the
+    decay divides exponents in [-1, 0] by sigma, and below that bound the
+    quotient can overflow."""
 
     kind: str = "gauss"
     sigma: float = 0.5
@@ -53,8 +57,9 @@ class DecayFn:
     def __post_init__(self):
         if self.kind not in DECAY_KINDS:
             raise ValueError(f"kind must be one of {DECAY_KINDS}")
-        if require_finite(self.sigma, "sigma") <= 0.0:
-            raise ValueError("sigma must be positive")
+        tiny = np.finfo(np.float64).tiny
+        if require_finite(self.sigma, "sigma") < tiny:
+            raise ValueError(f"sigma must be at least {tiny}, got {self.sigma!r}")
 
     def penalty(self, iou):
         """f(iou); accepts scalars or arrays.

@@ -231,10 +231,19 @@ def test_one_pixel_wide_mask_set_is_capped_by_padded_rows(tmp_path, capsys, monk
 
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):
+    # A subnormal sigma once overflowed matrix_nms's division by it.
     path = gen_scene_file(tmp_path, capsys)
-    code, _, err = run_cli(["suppress", str(path), "--sigma", "-1"], capsys)
-    assert code == 2
-    assert "error:" in err
+    for sigma in ("-1", "1e-320"):
+        code, _, err = run_cli(["suppress", str(path), "--sigma", sigma], capsys)
+        assert code == 2
+        assert "error:" in err
+
+
+def test_bench_small_sigma_exits_0(capsys):
+    # The decay oracle once overflowed math.exp at a sigma this small.
+    argv = ["bench", "--sigma", "0.001", "--instances", "20", "--repeats", "3"]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize("noise", ["nan", "inf"])

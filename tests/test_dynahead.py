@@ -28,7 +28,7 @@ from maskops import (
     mask_to_box,
     pairwise_iou_matrix,
 )
-from maskops import dynahead, formats
+from maskops import dynahead, formats, masks as masks_module
 from maskops.bench import _FUSION_TOL, _relative_error, seeded_pipeline_inputs
 from maskops.dynahead import (
     _MASK_LOGIT_CUTOFF,
@@ -655,9 +655,11 @@ def test_assemble_masks_equals_per_cell_walk_on_integers(
 ):
     # Integer features and kernels make every logit exact, so the batched
     # product and block packing must reproduce the per-cell one bit for bit,
-    # in one block of cells or in several.
+    # in one block of cells or in several. A block is as many 6-row masks
+    # as fit the scratch bytes, at 8 bytes a word.
     if cells_per_block is not None:
-        monkeypatch.setattr(dynahead, "LOGIT_BLOCK", cells_per_block * 6 * width)
+        words = 6 * masks_module._row_words(width)
+        monkeypatch.setattr(masks_module, "_SCRATCH_BYTES", cells_per_block * 8 * words)
     rng = np.random.default_rng(seed)
     s, classes, e = 5, 3, 4
     feature = rng.integers(-3, 4, size=(6, width, e)).astype(float)
@@ -693,16 +695,26 @@ def test_assemble_masks_equals_per_cell_walk_on_integers(
     assert assemble_masks(quiet, ker, feat) == []
 
 
-def test_assemble_masks_packs_each_cell_block_into_one_read_only_block(monkeypatch):
-    # 7 hit cells in blocks of 3: every mask is full, so none is dropped.
-    monkeypatch.setattr(dynahead, "LOGIT_BLOCK", 3 * 4 * 70)
+def _full_masks(hits: int, height: int, width: int) -> list:
+    """assemble_masks on `hits` cells whose masks are all full, so none is
+    dropped."""
     scores = np.zeros((3, 3, 2))
-    scores.reshape(9, 2)[:7, 0] = 0.5
-    out = assemble_masks(
+    scores.reshape(9, 2)[:hits, 0] = 0.5
+    return assemble_masks(
         CategoryGrid(scores),
         KernelGrid(np.ones((3, 3, 2)), 2),
-        FeatureMap(np.ones((4, 70, 2))),
+        FeatureMap(np.ones((height, width, 2))),
     )
+
+
+def test_assemble_masks_packs_each_cell_block_into_one_read_only_block(monkeypatch):
+    # At an aligned width the chunk rule splits the cells as blocks of
+    # 2^20 // (H * W) float64 logits did: 3 cells of 512x576 a block.
+    bases = {id(m.mask.words.base) for m in _full_masks(7, 512, 576)}
+    assert len(bases) == -(-7 // ((1 << 20) // (512 * 576))) == 3
+    # 7 hit cells of 4x70 (two words a row) in blocks of 3.
+    monkeypatch.setattr(masks_module, "_SCRATCH_BYTES", 3 * 8 * 4 * 2)
+    out = _full_masks(7, 4, 70)
     assert len(out) == 7
     bases = [m.mask.words.base for m in out]
     assert all(not b.flags.writeable for b in bases)
@@ -714,19 +726,22 @@ def test_assemble_masks_packs_each_cell_block_into_one_read_only_block(monkeypat
 
 def test_assemble_masks_peak_memory_is_bounded():
     # 400 hit cells of 128x128 logits are 50 MiB of float64 in one product;
-    # blocks of LOGIT_BLOCK logits (8 MiB) keep the peak far below that.
+    # blocks of one scratch chunk of words, 64 float64 logits a word (8 MiB),
+    # keep the peak far below that. A 100-pixel row is two words with 28
+    # padding bits, so its blocks hold fewer cells.
     rng = np.random.default_rng(0)
-    feature = FeatureMap(rng.normal(size=(128, 128, 4)))
     cat = CategoryGrid(np.full((20, 20, 1), 0.5))
     ker = KernelGrid(rng.normal(size=(20, 20, 4)), 4)
-    tracemalloc.start()
-    try:
-        out = assemble_masks(cat, ker, feature)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(out) == 400
-    assert peak < 2.5 * dynahead.LOGIT_BLOCK * 8
+    for width in (128, 100):
+        feature = FeatureMap(rng.normal(size=(128, width, 4)))
+        tracemalloc.start()
+        try:
+            out = assemble_masks(cat, ker, feature)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 400
+        assert peak < 2.5 * 64 * masks_module._SCRATCH_BYTES
 
 
 def test_assemble_masks_shape_mismatch():

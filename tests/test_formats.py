@@ -150,6 +150,18 @@ def test_mask_set_pixel_cap(monkeypatch):
         mask_set_from_dict({**doc, "instances": [inst] * 3})
 
 
+def test_mask_set_writer_applies_the_pixel_cap(monkeypatch):
+    # The writer refuses a set, empty or not, that its reader would refuse.
+    with pytest.raises(ValueError, match="0 masks of 100000x100000"):
+        mask_set_to_dict([], height=100000, width=100000)
+    # Each 8x8 mask counts 8 rows padded to 64 pixels: 512 of the cap.
+    monkeypatch.setattr(masks_module, "MAX_MASK_SET_PIXELS", 1024)
+    full = ScoredMask(BinaryMask.from_array(np.ones((8, 8), bool)), 0.5)
+    assert len(mask_set_from_dict(mask_set_to_dict([full] * 2))) == 2
+    with pytest.raises(ValueError, match="3 masks of 8x8"):
+        mask_set_to_dict([full] * 3)
+
+
 # JSON-like values, and documents shaped like a mask set whose fields take
 # any such value. Dimensions are either small or far past the pixel cap, so
 # no generated document can ask for a large decode; the last kind has valid

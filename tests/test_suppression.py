@@ -55,7 +55,8 @@ def test_decayfn_validation():
     for kind in ("gaussian", "cubic"):
         with pytest.raises(ValueError):
             DecayFn(kind)
-    for sigma in (-1.0, 0.0, np.nan):
+    # A subnormal sigma once overflowed matrix_nms's division by it.
+    for sigma in (-1.0, 0.0, np.nan, 5e-324, 1e-310):
         with pytest.raises(ValueError):
             DecayFn("gauss", sigma=sigma)
     # True == 1 passes the range check, but a bool is not a real number;
