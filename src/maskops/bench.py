@@ -49,6 +49,7 @@ from .suppression import (
     DecayFn,
     ScoredMask,
     SuppressionConfig,
+    _config_or_default,
     fast_nms,
     hard_nms,
     matrix_nms,
@@ -179,7 +180,7 @@ def run_bench(
         raise ValueError(f"unknown methods: {unknown}")
     if not scene:
         raise ValueError("scene is empty; nothing to benchmark")
-    cfg = config or SuppressionConfig()
+    cfg = _config_or_default(config)
     order = sort_by_score(scene)
     masks = [scene[i] for i in order]
     mask_list = [m.mask for m in masks]

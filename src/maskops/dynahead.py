@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .masks import BinaryMask, Box, masks_to_boxes, pack_masks, require_int
-from .masks import _row_words, _scratch_rows
+from .masks import _chunks, _row_words
 from .suppression import ScoredMask, SuppressionConfig, suppress
 
 
@@ -492,10 +492,11 @@ def assemble_masks(
     The hit cells' kernels go through one batched product (`dynamic_conv`)
     and one `mask_foreground` call per block of cells, and each block's
     masks are packed into one shared read-only block of words
-    (`masks.pack_masks`). A block is one `masks._scratch_rows` chunk of
-    H x W masks, so its logits (64 float64 a word) stay within 8 MiB however
-    many cells are hit. A cell hit by several classes yields one BinaryMask
-    that its ScoredMasks share. Output order is (grid index k, then category).
+    (`masks.pack_masks`). A block is one `masks._chunks` slice of H x W
+    masks' words, so its logits (64 float64 a word) stay within 8 MiB
+    however many cells are hit. A cell hit by several classes yields one
+    BinaryMask that its ScoredMasks share. Output order is (grid index k,
+    then category).
     """
     if category.grid_size != kernels.grid_size:
         raise ValueError("category and kernel grids must agree in size")
@@ -505,13 +506,11 @@ def assemble_masks(
     rows, cols, classes = np.nonzero(category.data > CONFIDENCE_THRESHOLD)
     new_cell = np.diff(rows * category.grid_size + cols, prepend=-1) != 0
     hit_kernels = kernels.data[rows[new_cell], cols[new_cell]]
-    block = _scratch_rows(feature.height * _row_words(feature.width))
+    mask_bytes = 8 * feature.height * _row_words(feature.width)
     cell_masks = []
-    for start in range(0, len(hit_kernels), block):
+    for part in _chunks(len(hit_kernels), mask_bytes):
         # Unnamed, each block's logits are freed once they are thresholded.
-        foreground = mask_foreground(
-            dynamic_conv(feature, hit_kernels[start : start + block])
-        )
+        foreground = mask_foreground(dynamic_conv(feature, hit_kernels[part]))
         cell_masks += pack_masks(foreground.transpose(2, 0, 1))
     owners = np.cumsum(new_cell) - 1
     scores = category.data[rows, cols, classes]

@@ -49,10 +49,11 @@ def mask_set_from_dict(doc: dict) -> list:
     instance's counts a JSON list and its score a JSON number; nothing is
     coerced. Every rejection is a ValueError starting with "malformed mask set".
 
-    The whole set is checked and decoded at once by `masks.decode_counts`,
+    The whole set is checked and decoded by one `masks.decode_counts` call,
     which applies the dimension, size-cap and count rules (to an empty set
-    too) before it allocates anything: the masks' words are the rows of one
-    shared read-only block. Categories must be ints >= 0 (`ScoredMask`)."""
+    too) before it allocates anything; it decodes a `masks._chunks` slice
+    at a time, and each slice's words are the rows of one shared read-only
+    block. Categories must be ints >= 0 (`ScoredMask`)."""
     try:
         h, w, instances = doc["height"], doc["width"], doc["instances"]
         if type(instances) is not list:

@@ -22,9 +22,8 @@ MAX_MASK_SET_PIXELS = 1 << 27
 
 # Bytes of scratch space that `decode_counts`, `encode_counts`,
 # `masks_to_boxes`, `pack_outer`, `scenes.gen_scene` and
-# `dynahead.assemble_masks` work through: each takes as many masks at a time
-# as fit (`_scratch_rows`), so none holds a temporary the size of the whole
-# set.
+# `dynahead.assemble_masks` work through: each takes the masks one `_chunks`
+# slice at a time, so none holds a temporary the size of the whole set.
 _SCRATCH_BYTES = 1 << 17
 
 
@@ -43,9 +42,14 @@ def require_finite(value, name: str):
     """`value` if it is a finite real number, else a ValueError. A bool or
     NumPy bool passes a real-valued setting's range check (True == 1) but is
     not a number, and NaN or an infinity is not a usable setting, so all
-    are rejected; each caller keeps its own range check. Every finite-real
-    check in the package is a call to this function."""
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+    are rejected, as is anything `math.isfinite` cannot take (a string,
+    None, an int past float64); each caller keeps its own range check. Every
+    finite-real check in the package is a call to this function."""
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if isinstance(value, (bool, np.bool_)) or not finite:
         raise ValueError(
             f"{name} must be a real number (finite, not bool), got {value!r}"
         )
@@ -62,10 +66,12 @@ def _row_tail(width: int) -> np.uint64:
     return np.uint64((1 << ((width - 1) % _WORD_BITS + 1)) - 1)
 
 
-def _scratch_rows(n_words: int) -> int:
-    """How many masks of `n_words` words each fit in _SCRATCH_BYTES, and at
-    least one."""
-    return max(1, _SCRATCH_BYTES // (8 * n_words))
+def _chunks(n: int, item_bytes: int) -> list:
+    """The consecutive slices of range(n), each as many items of
+    `item_bytes` bytes as fit in _SCRATCH_BYTES, and at least one; the last
+    may hold fewer."""
+    step = max(1, _SCRATCH_BYTES // item_bytes)
+    return [slice(top, min(top + step, n)) for top in range(0, n, step)]
 
 
 def check_mask_set_size(height: int, width: int, count: int):
@@ -125,7 +131,11 @@ class BinaryMask:
         require_int(self.height, "height", 1)
         require_int(self.width, "width", 1)
         cols = _row_words(self.width)
-        if self.words.dtype != np.uint64 or self.words.shape != (self.height * cols,):
+        if (
+            not isinstance(self.words, np.ndarray)
+            or self.words.dtype != np.uint64
+            or self.words.shape != (self.height * cols,)
+        ):
             raise ValueError("words must be a uint64 vector of height * ceil(width/64)")
         # An aligned width has no padding bits, so only others are checked.
         if self.width % _WORD_BITS and np.any(
@@ -177,15 +187,14 @@ def pack_outer(in_rows: np.ndarray, in_cols: np.ndarray) -> list:
     """One BinaryMask per row i of an (n, h) boolean row test and an (n, w)
     column test, whose pixel (y, x) is in_rows[i, y] & in_cols[i, x]. Each
     image row of mask i is either zero words or its packed column test, so
-    no pixel array is built. The masks are packed `_scratch_rows` at a time,
-    and each chunk's words are one shared read-only block."""
+    no pixel array is built. The masks are packed one `_chunks` slice of
+    words at a time, and each slice's words are one shared read-only block."""
     (n, h), w = in_rows.shape, in_cols.shape[1]
     row_words = _pack_rows(in_cols[:, None, :])
     cols = row_words.shape[1]
-    step = _scratch_rows(h * cols)
     masks = []
-    for top in range(0, n, step):
-        words, tests = row_words[top : top + step], in_rows[top : top + step]
+    for part in _chunks(n, 8 * h * cols):
+        words, tests = row_words[part], in_rows[part]
         block = np.zeros((len(words), h * cols), dtype=np.uint64)
         np.copyto(block.reshape(-1, h, cols), words[:, None], where=tests[:, :, None])
         masks += _block_masks(block, h, w)
@@ -243,11 +252,11 @@ def _checked_counts(count_lists: Sequence[Sequence], pixels: int) -> tuple:
     return counts, ends
 
 
-def _prefix_xor(toggles: np.ndarray, scratch: np.ndarray):
+def _prefix_xor(toggles: np.ndarray):
     """Turn each row of an (m, words) block of toggle bits, in place, into
     the prefix XOR of its bits: each bit becomes the parity of the toggles
-    at or before it in its row. `scratch` has at least m rows."""
-    tmp = scratch[: toggles.shape[0]]
+    at or before it in its row."""
+    tmp = np.empty_like(toggles)
     for shift in (1, 2, 4, 8, 16, 32):
         np.left_shift(toggles, shift, out=tmp)
         toggles ^= tmp
@@ -265,29 +274,28 @@ def _prefix_xor(toggles: np.ndarray, scratch: np.ndarray):
 def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> list:
     """Check the RLE counts of a set of height x width masks, one sequence
     per mask, with RleMask's rules, and decode them without expanding any
-    pixel to a byte. The masks' words are the rows of one read-only
-    (n, height * cols) uint64 block.
+    pixel to a byte.
 
     Every run end but a mask's last flips the pixel value, so each sets one
     toggle bit. A prefix XOR of the toggles then gives the pixels: within a
     word by six shift-XOR steps, across words by XORing in the parity of the
-    same mask's earlier words. The masks are done a few at a time, so the
-    arrays made from their counts stay small. A set past MAX_MASK_SET_PIXELS
-    (`check_mask_set_size`) is a ValueError before anything is allocated."""
+    same mask's earlier words. The masks are decoded one `_chunks` slice of
+    words at a time, so the arrays made from their counts stay small, and
+    each slice's words are the rows of one read-only (k, height * cols)
+    uint64 block. A set past MAX_MASK_SET_PIXELS (`check_mask_set_size`) is
+    a ValueError before anything is allocated."""
     require_int(height, "height", 1)
     require_int(width, "width", 1)
     check_mask_set_size(height, width, len(count_lists))
     cols = _row_words(width)
-    n, n_words = len(count_lists), height * cols
-    block = np.zeros((n, n_words), dtype=np.uint64)
-    rows = _scratch_rows(n_words)
-    scratch = np.empty((min(rows, n), n_words), dtype=np.uint64)
-    for top in range(0, n, rows):
-        part = block[top : top + rows]
-        counts, ends = _checked_counts(count_lists[top : top + rows], height * width)
+    n_words = height * cols
+    masks = []
+    for part in _chunks(len(count_lists), 8 * n_words):
+        counts, ends = _checked_counts(count_lists[part], height * width)
+        block = np.zeros((len(ends), n_words), dtype=np.uint64)
         # The running sum of the counts is a toggle's pixel index p in the
         # masks laid end to end. Each mask holds whole image rows, so p is
-        # row y = p // width, column x = p % width of `part`: its bit
+        # row y = p // width, column x = p % width of `block`: its bit
         # y * 64 * cols + x.
         last = ends - 1
         toggles = np.delete(np.cumsum(counts, out=counts), last)
@@ -300,11 +308,12 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
         new_word = np.ones(word.size, dtype=bool)
         np.not_equal(word[1:], word[:-1], out=new_word[1:])
         first = np.flatnonzero(new_word)
-        part.reshape(-1)[word[first]] = np.bitwise_or.reduceat(bits, first)
-        _prefix_xor(part, scratch)
+        block.reshape(-1)[word[first]] = np.bitwise_or.reduceat(bits, first)
+        _prefix_xor(block)
         if width % _WORD_BITS:  # a row that ends in foreground fills its padding
-            part[:, cols - 1 :: cols] &= _row_tail(width)
-    return _block_masks(block, height, width)
+            block[:, cols - 1 :: cols] &= _row_tail(width)
+        masks += _block_masks(block, height, width)
+    return masks
 
 
 def encode_counts(masks: Sequence[BinaryMask]) -> list:
@@ -318,14 +327,12 @@ def encode_counts(masks: Sequence[BinaryMask]) -> list:
     counts are the gaps between its run starts and its end."""
     if not masks:
         return []
-    check_same_dims(*masks)
-    h, w = masks[0].height, masks[0].width
+    h, w = check_same_dims(*masks)
     pixels = h * w
-    # Each word unpacks to 64 bytes, so a chunk's pixels fit _SCRATCH_BYTES.
-    rows = _scratch_rows(8 * h * _row_words(w))
     count_lists = []
-    for top in range(0, len(masks), rows):
-        chunk = masks[top : top + rows]
+    # Each word unpacks to 64 bytes, so a chunk's pixels fit _SCRATCH_BYTES.
+    for part in _chunks(len(masks), 64 * h * _row_words(w)):
+        chunk = masks[part]
         k = len(chunk)
         flat = _unpack_rows(np.array([m.words for m in chunk]), h, w).reshape(k, pixels)
         starts = np.empty((k, pixels), dtype=bool)
@@ -352,10 +359,11 @@ def rle_decode(rle: RleMask) -> BinaryMask:
     return decode_counts([rle.counts], rle.height, rle.width)[0]
 
 
-def check_same_dims(first: BinaryMask, *rest: BinaryMask):
-    """A ValueError unless every mask has `first`'s height and width."""
+def check_same_dims(first: BinaryMask, *rest: BinaryMask) -> tuple:
+    """`first`'s (height, width) if every mask has them, else a ValueError."""
     if any(m.height != first.height or m.width != first.width for m in rest):
         raise ValueError("masks must share dimensions")
+    return first.height, first.width
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
@@ -378,7 +386,12 @@ class IoUMatrix:
 
     def __post_init__(self):
         v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.dtype != np.float64:
+        if (
+            not isinstance(v, np.ndarray)
+            or v.ndim != 2
+            or v.shape[0] != v.shape[1]
+            or v.dtype != np.float64
+        ):
             raise ValueError("values must be a square float64 matrix")
         if np.any(np.tril(v) != 0.0):
             raise ValueError("diagonal and lower triangle must be zero")
@@ -411,8 +424,7 @@ def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
     out = np.zeros((n, n), dtype=np.float64)
     if n < 2:
         return IoUMatrix(out)
-    check_same_dims(*masks)
-    cols = _row_words(masks[0].width)
+    cols = _row_words(check_same_dims(*masks)[1])
     # Counts and areas are integers below 2**53, so float64 holds them, and
     # sums them across strips and forms each union, exactly.
     areas = np.zeros(n, dtype=np.float64)
@@ -474,13 +486,11 @@ def masks_to_boxes(masks: Sequence[BinaryMask]) -> list:
     unpacked. The masks' words are stacked a few masks at a time."""
     if not masks:
         return []
-    check_same_dims(*masks)
-    h, w = masks[0].height, masks[0].width
+    h, w = check_same_dims(*masks)
     cols = _row_words(w)
-    step = _scratch_rows(h * cols)
     boxes = []
-    for top in range(0, len(masks), step):
-        words = np.array([m.words for m in masks[top : top + step]]).reshape(-1, h, cols)
+    for part in _chunks(len(masks), 8 * h * cols):
+        words = np.array([m.words for m in masks[part]]).reshape(-1, h, cols)
         ys = words.any(axis=2)
         xs = _unpack_rows(np.bitwise_or.reduce(words, axis=1), 1, w)[:, 0]
         x_min, y_min = xs.argmax(axis=1).tolist(), ys.argmax(axis=1).tolist()

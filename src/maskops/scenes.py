@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .masks import (
-    _scratch_rows,
+    _chunks,
     check_mask_set_size,
     pack_masks,
     pack_outer,
@@ -114,11 +114,9 @@ def _paint_blocks(spec: SceneSpec, cy, cx, ry, rx) -> list:
     if spec.shape == "rectangle":
         in_rows = np.abs(ys - cy[:, None]) <= ry[:, None]
         return pack_outer(in_rows, np.abs(xs - cx[:, None]) <= rx[:, None])
-    # One float64 a pixel, so each few's sum is at most _SCRATCH_BYTES.
-    step = _scratch_rows(spec.height * spec.width)
     masks = []
-    for top in range(0, len(cy), step):
-        part = slice(top, top + step)
+    # One float64 a pixel, so each few's sum is at most _SCRATCH_BYTES.
+    for part in _chunks(len(cy), 8 * spec.height * spec.width):
         y_term = ((ys - cy[part, None]) / ry[part, None]) ** 2
         x_term = ((xs - cx[part, None]) / rx[part, None]) ** 2
         masks += pack_masks(y_term[:, :, None] + x_term[:, None, :] <= 1.0)

@@ -35,6 +35,9 @@ class ScoredMask:
     category: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.mask, BinaryMask):
+            kind = type(self.mask).__name__
+            raise ValueError(f"mask must be a BinaryMask, got {kind}")
         # A mask-set file would store a bool score as JSON true, which its
         # reader rejects.
         if not 0.0 < require_finite(self.score, "score") <= 1.0:
@@ -97,6 +100,16 @@ class SuppressionConfig:
             require_int(self.top_k, "top_k", 1)
         if type(self.class_agnostic) is not bool:
             raise ValueError(f"class_agnostic must be a bool, got {self.class_agnostic!r}")
+
+
+def _config_or_default(config) -> SuppressionConfig:
+    """`config` itself, or the default SuppressionConfig when it is None;
+    anything else is a ValueError, not a config to fall back from."""
+    if config is None:
+        return SuppressionConfig()
+    if not isinstance(config, SuppressionConfig):
+        raise ValueError(f"config must be a SuppressionConfig or None, got {config!r}")
+    return config
 
 
 @dataclass(frozen=True)
@@ -295,7 +308,7 @@ def suppress(
     Result indices refer to the input list and are ordered by descending
     updated score with original index as the tie-break.
     """
-    cfg = config or SuppressionConfig()
+    cfg = _config_or_default(config)
     # One sort of the whole pool: each group keeps its (-score, index) order.
     groups = {}
     for i in sort_by_score(masks):

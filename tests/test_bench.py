@@ -63,6 +63,10 @@ def test_bad_arguments():
         run_bench(scene, methods=("bogus",), repeats=3)
     with pytest.raises(ValueError):
         run_bench([], repeats=3)
+    # Only None means the default config: {} and 0 once benched it.
+    for config in ({}, 0, "matrix"):
+        with pytest.raises(ValueError, match="config must be a SuppressionConfig"):
+            run_bench(scene, repeats=3, config=config)
 
 
 def test_score_checksum_sensitivity():

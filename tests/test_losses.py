@@ -110,6 +110,10 @@ def test_focal_domain_errors():
     for bad in (-0.1, -1.0, np.nan, -np.inf, np.inf, True):
         with pytest.raises(ValueError):
             focal_loss(0.5, 0, gamma=bad)
+    # math.isfinite once raised a TypeError for these.
+    for bad in ("0.5", None):
+        with pytest.raises(ValueError, match="gamma must be a real number"):
+            focal_loss(0.5, 1, gamma=bad)
     # The end of the domain stays accepted.
     focal_loss(0.5, 1, gamma=0.0)
 

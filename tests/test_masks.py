@@ -58,6 +58,10 @@ def test_from_array_rejects_bad_shapes():
 def test_words_padding_validated():
     with pytest.raises(ValueError):
         BinaryMask(1, 3, np.array([0xFF], dtype=np.uint64))
+    # A list once failed with an AttributeError on `.dtype`.
+    for words in ([1], (1,), None):
+        with pytest.raises(ValueError, match="uint64 vector"):
+            BinaryMask(1, 1, words)
 
 
 @pytest.mark.parametrize(
@@ -476,6 +480,67 @@ def test_encode_counts_needs_shared_dims():
         masks_module.encode_counts([a, a, b])
 
 
+def test_check_same_dims_returns_the_shared_dims():
+    a = BinaryMask.from_array(np.ones((2, 3)))
+    assert masks_module.check_same_dims(a) == (2, 3)
+    assert masks_module.check_same_dims(a, BinaryMask.from_array(np.zeros((2, 3)))) == (2, 3)
+    for other in (np.ones((3, 2)), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="share dimensions"):
+            masks_module.check_same_dims(a, a, BinaryMask.from_array(other))
+
+
+def _slices_of(n, step):
+    """range(n) cut every `step` items, as lists of indices."""
+    return [list(range(n))[top : top + step] for top in range(0, n, step)]
+
+
+# Each mask loop passes the bytes it bounds per mask of h x w: the packed
+# words (8 h cols), the encoder's unpacked pixels (64 h cols) or an
+# ellipse's float64 pixels (8 h w). Each partition must stay the one that
+# `max(1, _SCRATCH_BYTES // (8 * n_words))` masks a chunk gave, with
+# n_words = h cols, 8 h cols and h w.
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2000), st.integers(1, 1 << 18), st.integers(1, 400), st.integers(1, 700))
+def test_chunks_cut_range_n_by_the_scratch_budget(n, item_bytes, h, w):
+    scratch = masks_module._SCRATCH_BYTES
+    chunks = masks_module._chunks(n, item_bytes)
+    assert [list(range(n)[s]) for s in chunks] == _slices_of(
+        n, max(1, scratch // item_bytes)
+    )
+    bounds = [0] + [s.stop for s in chunks]
+    assert [s.start for s in chunks] == bounds[:-1] and bounds[-1] == n
+    assert all(s.step is None for s in chunks)
+    cols = -(-w // 64)
+    units = ((8 * h * cols, h * cols), (64 * h * cols, 8 * h * cols), (8 * h * w, h * w))
+    for unit, n_words in units:
+        got = [list(range(n)[s]) for s in masks_module._chunks(n, unit)]
+        assert got == _slices_of(n, max(1, scratch // (8 * n_words)))
+
+
+# 45 masks of 200x336 (6 words a row) decode 13 to a 128 KiB chunk of
+# words, so in blocks of 13, 13, 13 and 6; 45 of 37x100 fit in one.
+@pytest.mark.parametrize("h,w,sizes", [(200, 336, [13, 13, 13, 6]), (37, 100, [45])])
+def test_decoded_masks_are_read_only_rows_of_one_block_per_chunk(h, w, sizes):
+    spec = SceneSpec(height=h, width=w, num_instances=9, num_duplicates_per_instance=4,
+                     shape="ellipse")
+    want = [m.mask for m in gen_scene(spec)]
+    got = masks_module.decode_counts(masks_module.encode_counts(want), h, w)
+    assert got == want
+    blocks = []  # each block with the index of its first mask
+    for i, m in enumerate(got):
+        if not blocks or m.words.base is not blocks[-1][1]:
+            blocks.append((i, m.words.base))
+    assert [len(block) for _, block in blocks] == sizes
+    assert len({id(block) for _, block in blocks}) == len(sizes)
+    for first, block in blocks:
+        assert block.dtype == np.uint64 and block.shape[1] == h * -(-w // 64)
+        assert not block.flags.writeable
+        for j, row in enumerate(block):
+            words = got[first + j].words
+            assert words.base is block and not words.flags.writeable
+            assert words.ctypes.data == row.ctypes.data
+
+
 @st.composite
 def _padding_bits(draw):
     """(h, w, row, bit): a width with padding (not a multiple of 64), and one
@@ -559,6 +624,10 @@ def test_iou_matrix_accepts_bounds_and_empty():
     assert IoUMatrix(np.zeros((0, 0))).n == 0
     with pytest.raises(ValueError, match="square float64"):
         IoUMatrix(np.zeros((2, 3)))
+    # A nested list once failed with an AttributeError on `.ndim`.
+    for values in ([[0.0]], None):
+        with pytest.raises(ValueError, match="square float64"):
+            IoUMatrix(values)
 
 
 @pytest.mark.parametrize(

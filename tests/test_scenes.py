@@ -115,7 +115,7 @@ def test_spec_validation():
     for noise in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="score_noise"):
             SceneSpec(score_noise=noise)
-    for noise in (True, False, np.bool_(False), float("inf")):
+    for noise in (True, False, np.bool_(False), float("inf"), "0.5", None):
         with pytest.raises(ValueError, match="score_noise must be a real number"):
             SceneSpec(score_noise=noise)
 

@@ -60,8 +60,10 @@ def test_decayfn_validation():
         with pytest.raises(ValueError):
             DecayFn("gauss", sigma=sigma)
     # True == 1 passes the range check, but a bool is not a real number;
-    # sigma=inf once turned the gaussian decay off.
-    for sigma in (True, np.bool_(True), np.inf):
+    # sigma=inf once turned the gaussian decay off. A string or None once
+    # raised a TypeError from math.isfinite, and an int past float64 an
+    # OverflowError.
+    for sigma in (True, np.bool_(True), np.inf, "0.5", None, 10**400):
         with pytest.raises(ValueError, match="sigma must be a real number"):
             DecayFn("gauss", sigma=sigma)
 
@@ -423,12 +425,27 @@ def test_scored_mask_validation():
     with pytest.raises(ValueError):
         ScoredMask(DUMMY, 1.2)
     # bool passes 0 < s <= 1, but a mask-set file would store it as JSON true.
-    for score in (True, np.bool_(True)):
+    for score in (True, np.bool_(True), "0.5", None):
         with pytest.raises(ValueError, match="score"):
             ScoredMask(DUMMY, score)
+    # A string mask was once accepted and failed inside suppress with an
+    # AttributeError.
+    for mask in ("x", None, np.ones((1, 1), bool), DUMMY.words):
+        with pytest.raises(ValueError, match="mask must be a BinaryMask"):
+            ScoredMask(mask, 0.5)
     for category in (-1, 1.5, True, np.int64(1), "1"):
         with pytest.raises(ValueError, match="category"):
             ScoredMask(DUMMY, 0.5, category)
+
+
+def test_suppress_config_is_a_config_or_none():
+    masks = scored(0.9, 0.8)
+    assert suppress(masks, None) == suppress(masks, SuppressionConfig())
+    # {} and 0 once ran the default matrix NMS; "hard" once failed with an
+    # AttributeError.
+    for bad in ({}, 0, "hard", [], False, DecayFn()):
+        with pytest.raises(ValueError, match="config must be a SuppressionConfig"):
+            suppress(masks, bad)
 
 
 def test_suppression_result_validation():
@@ -457,7 +474,7 @@ def test_config_validation():
     # Both bools pass the range checks; score_threshold=True or inf once
     # kept nothing.
     for field in ("iou_threshold", "score_threshold"):
-        for bad in (True, False, np.bool_(True), np.inf):
+        for bad in (True, False, np.bool_(True), np.inf, "0.5", None):
             with pytest.raises(ValueError, match=f"{field} must be a real number"):
                 SuppressionConfig(**{field: bad})
     # class_agnostic is exactly a bool: "no" and 1 once pooled every
