@@ -367,9 +367,17 @@ def _pairwise_iou(rng, cases):
         for i, j in itertools.combinations(range(len(wide)), 2):
             if got[i, j] != mask_iou(wide[i], wide[j]):
                 return False, f"32x{w} scene: mismatch at {(i, j)}"
+    # 200 masks' IoU rows take 1600 bytes, so the default scratch cuts the
+    # band, the unions and IoUMatrix's check into slices of 81 rows.
+    many = _sparse_masks(rng, 200, 16, 128)
+    got = pairwise_iou_matrix(many).values
+    for i, j in itertools.combinations(range(len(many)), 2):
+        if got[i, j] != mask_iou(many[i], many[j]):
+            return False, f"{len(many)} masks of 16x128: mismatch at {(i, j)}"
     return True, (
         f"{cases} masks, all pairs and self-IoU; "
-        f"{len(wide)} ellipses each of 32x128 and 32x100 (2 words a row), all pairs"
+        f"{len(wide)} ellipses each of 32x128 and 32x100 (2 words a row), all pairs; "
+        f"{len(many)} masks of 16x128 in row slices, all pairs"
     )
 
 

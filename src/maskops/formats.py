@@ -45,9 +45,10 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
 
 
 def mask_set_from_dict(doc: dict) -> list:
-    """Parse a mask-set document. `instances` must be a JSON list, each
-    instance's counts a JSON list and its score a JSON number; nothing is
-    coerced. Every rejection is a ValueError starting with "malformed mask set".
+    """Parse a mask-set document. The document and each instance must be
+    JSON objects, `instances` a JSON list, each instance's counts a JSON list
+    and its score a JSON number; nothing is coerced. Every rejection is a
+    ValueError starting with "malformed mask set".
 
     The whole set is checked and decoded by one `masks.decode_counts` call,
     which applies the dimension, size-cap and count rules (to an empty set
@@ -55,9 +56,14 @@ def mask_set_from_dict(doc: dict) -> list:
     at a time, and each slice's words are the rows of one shared read-only
     block. Categories must be ints >= 0 (`ScoredMask`)."""
     try:
+        if not isinstance(doc, dict):
+            raise ValueError(f"the document must be an object, got {type(doc).__name__}")
         h, w, instances = doc["height"], doc["width"], doc["instances"]
         if type(instances) is not list:
             raise ValueError(f"instances must be a list, got {type(instances).__name__}")
+        for i, e in enumerate(instances):
+            if not isinstance(e, dict):
+                raise ValueError(f"instance {i} must be an object, got {type(e).__name__}")
         counts = [e["counts"] for e in instances]
         for c in counts:
             if type(c) is not list:

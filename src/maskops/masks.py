@@ -24,6 +24,7 @@ MAX_MASK_SET_PIXELS = 1 << 27
 # `masks_to_boxes`, `pack_outer`, `scenes.gen_scene` and
 # `dynahead.assemble_masks` work through: each takes the masks one `_chunks`
 # slice at a time, so none holds a temporary the size of the whole set.
+# `pairwise_iou_matrix` and `IoUMatrix` take the IoU rows the same way.
 _SCRATCH_BYTES = 1 << 17
 
 
@@ -378,6 +379,9 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
 class IoUMatrix:
     """Strict upper-triangular pairwise IoU matrix (diagonal and below are zero).
 
+    The check reads the diagonal and lower triangle a `_chunks` slice of
+    rows at a time, so it copies no n x n array.
+
     Ownership: `values` is wrapped, not copied, and made read-only, even
     when it is the caller's own; pass a copy to keep yours writable.
     """
@@ -393,11 +397,14 @@ class IoUMatrix:
             or v.dtype != np.float64
         ):
             raise ValueError("values must be a square float64 matrix")
-        if np.any(np.tril(v) != 0.0):
-            raise ValueError("diagonal and lower triangle must be zero")
-        # One min and one max, not two comparisons: NaN fails both tests.
-        if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
-            raise ValueError("IoU entries must lie in [0, 1]")
+        if v.size:
+            n = v.shape[0]
+            for part in _chunks(n, 8 * n):
+                if np.any(np.tril(v[part], part.start) != 0.0):
+                    raise ValueError("diagonal and lower triangle must be zero")
+            # One min and one max, not two comparisons: NaN fails both tests.
+            if not (v.min() >= 0.0 and v.max() <= 1.0):
+                raise ValueError("IoU entries must lie in [0, 1]")
         v.setflags(write=False)
 
     @property
@@ -416,21 +423,30 @@ def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
     non-zero word, and the masks are visited in order of their first word
     (`lo`). In that order, the masks after k that start at or past k's
     exclusive end `hi` are a suffix, and none of them can meet mask k. So
-    row k popcounts only the rows between k and that suffix, and only over
-    k's span. The counts are exact integers and each IoU is one float64
-    division of them, so the matrix equals the all-pairs one bit for bit.
+    row k popcounts only the band of rows between k and that suffix, and
+    only over k's span. Each band's counts are added straight into the
+    result at (min(a, b), max(a, b)) for masks a and b, so the upper
+    triangle gathers every pair's count in whichever order a strip visits
+    it. The counts are exact integers and each IoU is one float64 division
+    of them, so the matrix equals the all-pairs one bit for bit.
+
+    The result is the only n x n array: one strip's words are held at a
+    time, and the band indices, the unions and `IoUMatrix`'s check are built
+    a `_chunks` slice of rows at a time.
     """
     n = len(masks)
     out = np.zeros((n, n), dtype=np.float64)
     if n < 2:
         return IoUMatrix(out)
-    cols = _row_words(check_same_dims(*masks)[1])
+    height, width = check_same_dims(*masks)
+    # A strip holds `height` words of a mask, so one pair's count in it is
+    # at most 64 * height, which uint32 holds below 2**26 rows.
+    if height >= 1 << 26:
+        raise ValueError(f"pairwise IoU needs masks under 2**26 rows, got {height}")
+    cols = _row_words(width)
     # Counts and areas are integers below 2**53, so float64 holds them, and
     # sums them across strips and forms each union, exactly.
     areas = np.zeros(n, dtype=np.float64)
-    # `out` gathers each pair's count at (i, j) or (j, i), in whichever
-    # order a strip visits the pair; the mirror below adds the two. Only
-    # one strip's words are held at a time.
     for c in range(cols):
         strip = np.array([m.words[c::cols] for m in masks])
         areas += np.bitwise_count(strip).sum(axis=1, dtype=np.int64)
@@ -444,21 +460,31 @@ def pairwise_iou_matrix(masks: Sequence[BinaryMask]) -> IoUMatrix:
         words = strip[idx]
         del strip, nz
         stop = np.searchsorted(lo, hi)
-        inter = np.zeros((idx.size, idx.size), dtype=np.float64)
-        for k in range(idx.size - 1):
-            span = slice(lo[k], hi[k])
-            inter[k, k + 1 : stop[k]] = np.bitwise_count(
-                words[k, span] & words[k + 1 : stop[k], span]
-            ).sum(axis=1, dtype=np.int64)
+        lo, hi = lo.tolist(), hi.tolist()  # Python ints slice faster
+        # Row k's band is rows k+1 ... stop[k]-1. A slice of rows holds at
+        # most n counts, and n of each index array, of 8 bytes a row; its
+        # counts lie end to end, row k's at s:e.
+        for part in _chunks(idx.size - 1, 8 * n):
+            first = np.arange(part.start + 1, part.stop + 1)
+            sizes = stop[part] - first
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+            counts = np.empty(ends[-1], dtype=np.uint32)
+            for k, s, e in zip(range(part.start, part.stop), starts.tolist(), ends.tolist()):
+                span = slice(lo[k], hi[k])
+                np.bitwise_count(words[k, span] & words[k + 1 : k + 1 + e - s, span]).sum(
+                    axis=1, dtype=np.uint32, out=counts[s:e]
+                )
+            # A pair meets at most once in a strip, so no index repeats.
+            a = np.repeat(idx[part], sizes)
+            b = idx[np.arange(ends[-1]) + np.repeat(first - starts, sizes)]
+            out[np.minimum(a, b), np.maximum(a, b)] += counts
         del words
-        out[np.ix_(idx, idx)] += inter
-        del inter
-    out += out.T
-    union = np.add.outer(areas, areas)
-    union -= out
-    np.divide(out, union, out=out, where=union > 0)
-    del union
-    return IoUMatrix(np.triu(out, 1))
+    for part in _chunks(n, 8 * n):
+        union = areas[part, None] + areas
+        union -= out[part]
+        np.divide(out[part], union, out=out[part], where=union > 0)
+    return IoUMatrix(out)
 
 
 @dataclass(frozen=True)

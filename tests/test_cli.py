@@ -186,6 +186,27 @@ def test_non_list_instances_exits_2(tmp_path, capsys, instances):
     assert f"malformed mask set: instances must be a list, got {kind}\n" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"height": 4, "width": 4, "instances": ["abc"]}, "instance 0 must be an object, got str"),
+        ({"height": 4, "width": 4, "instances": [None]}, "instance 0 must be an object, got NoneType"),
+        ({"height": 4, "width": 4, "instances": [{"counts": [16], "score": 0.5}, 7]},
+         "instance 1 must be an object, got int"),
+        ([1, 2], "the document must be an object, got list"),
+    ],
+)
+def test_non_object_mask_set_exits_2(tmp_path, capsys, doc, message):
+    # Each once exited 2 with Python's indexing message, such as "string
+    # indices must be integers, not 'str'".
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["suppress", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed mask set: {message}\n"
+
+
 def test_oversized_mask_set_exits_2(tmp_path, capsys):
     # A count past int64 once escaped as an OverflowError traceback.
     huge = tmp_path / "huge.json"

@@ -130,6 +130,11 @@ def test_mask_set_rejects_mixed_dims():
         {"height": 4, "width": 4, "instances": {}},
         {"height": 4, "width": 4, "instances": ""},
         {"height": 4, "width": 4, "instances": {"a": 1}},
+        # The document and each instance must be objects: these once failed
+        # with Python's indexing messages.
+        {"height": 4, "width": 4, "instances": ["abc"]},
+        {"height": 4, "width": 4, "instances": [None]},
+        [1, 2],
     ],
 )
 def test_malformed_mask_set(doc):

@@ -327,13 +327,18 @@ def _rows(h, w, *row_sets):
 # Rows 0-1 and row 1: the second mask starts on the first one's last word.
 # Rows 2, 0-2 and 1-2: first words 2, 0, 1, so the visiting order is a
 # 3-cycle, not its own inverse. At width 128 each pair meets in both strips.
+# 256 scratch bytes hold 2 rows of 12 masks' IoUs and 1 row of 24, so the
+# band, the unions and `IoUMatrix`'s check each run over many row slices;
+# 2**17 is the default.
 @settings(deadline=None, max_examples=300)
-@given(_iou_stacks() | _word_span_stacks() | _strip_stacks())
-@example(_rows(2, 64, [0, 1], [1]))
-@example(_rows(3, 64, [2], [0, 1, 2], [1, 2]))
-@example(_rows(3, 128, [2], [0, 1, 2], [1, 2]))
-def test_pairwise_span_crop_matches_mask_iou(masks):
-    got = pairwise_iou_matrix(masks).values
+@given(_iou_stacks() | _word_span_stacks() | _strip_stacks(), st.sampled_from([256, 1 << 17]))
+@example(_rows(2, 64, [0, 1], [1]), 1 << 17)
+@example(_rows(3, 64, [2], [0, 1, 2], [1, 2]), 1 << 17)
+@example(_rows(3, 128, [2], [0, 1, 2], [1, 2]), 256)
+def test_pairwise_span_crop_matches_mask_iou(masks, scratch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masks_module, "_SCRATCH_BYTES", scratch)
+        got = pairwise_iou_matrix(masks).values
     assert got.shape == (len(masks), len(masks))
     for i in range(len(masks)):
         assert np.all(got[i, : i + 1] == 0.0)
@@ -578,13 +583,11 @@ def test_iou_is_symmetric(masks):
                 assert got[i, j] == mask_iou(masks[j], a)
 
 
-def test_pairwise_iou_peak_memory():
-    # The crowd_suppress scene: 125 instances x (1 + 3 duplicates) at
-    # 256x256, so 4 strips. One strip's stack of words (a quarter of the
-    # masks') is held at a time, beside at most three n x n matrices of
-    # 8-byte entries.
-    spec = SceneSpec(height=256, width=256, num_instances=125, num_duplicates_per_instance=3)
-    masks = [m.mask for m in gen_scene(spec)]
+def _iou_peak_within_bound(masks):
+    """Beside the n x n result, `pairwise_iou_matrix` holds two stacks of
+    one strip's words while it reorders the strip, and at most six
+    temporaries of `_SCRATCH_BYTES`: the band's counts and index arrays,
+    built one slice of rows at a time."""
     n = len(masks)
     tracemalloc.start()
     try:
@@ -592,7 +595,34 @@ def test_pairwise_iou_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * masks[0].words.nbytes // 4 + 3 * n * n * 8
+    strip = n * masks[0].words.nbytes // masks_module._row_words(masks[0].width)
+    return peak < n * n * 8 + 2 * strip + 6 * masks_module._SCRATCH_BYTES
+
+
+def test_pairwise_iou_peak_memory():
+    # The crowd_suppress scene: 125 instances x (1 + 3 duplicates) at
+    # 256x256, so 4 strips. Peak 3.88 MB against a bound of 4.83 MB.
+    spec = SceneSpec(height=256, width=256, num_instances=125, num_duplicates_per_instance=3)
+    assert _iou_peak_within_bound([m.mask for m in gen_scene(spec)])
+
+
+def test_pairwise_iou_peak_memory_dense():
+    # 500 full 256x256 masks, so every strip's band is the whole upper
+    # triangle. Peak 4.49 MB against a bound of 4.83 MB; building the band's
+    # index arrays in one piece peaks at 9.1 MB.
+    full = BinaryMask.from_array(np.ones((256, 256), dtype=bool))
+    assert _iou_peak_within_bound([full] * 500)
+
+
+def test_pairwise_iou_row_limit():
+    # Each strip's counts are summed in uint32: one pair's count in a strip
+    # is at most 64 bits a row, so masks of 2**26 rows are refused rather
+    # than miscounted. A zero-stride word vector stands in for their words.
+    def tall(rows):
+        return BinaryMask(rows, 64, np.broadcast_to(np.zeros(1, np.uint64), (rows,)))
+
+    with pytest.raises(ValueError, match="under 2\\*\\*26 rows, got 67108864"):
+        pairwise_iou_matrix([tall(1 << 26)] * 2)
 
 
 def test_pairwise_empty_and_single():
@@ -617,6 +647,23 @@ def test_iou_matrix_rejects_bad_entries(cell, value, message):
     values[cell] = value
     with pytest.raises(ValueError, match=message):
         IoUMatrix(values)
+
+
+def test_iou_matrix_checks_each_row_slice(monkeypatch):
+    # 256 scratch bytes make row slices 0-2, 3-5, 6-8 and 9 of a 10 x 10
+    # matrix. Any one non-zero or NaN at or below the diagonal is caught,
+    # in whichever slice it lies, and any value just above it is not.
+    monkeypatch.setattr(masks_module, "_SCRATCH_BYTES", 256)
+    assert len(masks_module._chunks(10, 80)) == 4
+    for i in range(10):
+        for j in range(i + 1):
+            for value in (0.5, np.nan):
+                values = np.zeros((10, 10))
+                values[i, j] = value
+                with pytest.raises(ValueError, match="diagonal and lower triangle must be zero"):
+                    IoUMatrix(values)
+    upper = np.triu(np.full((10, 10), 0.5), 1)
+    assert IoUMatrix(upper).n == 10
 
 
 def test_iou_matrix_accepts_bounds_and_empty():
