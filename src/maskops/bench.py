@@ -669,11 +669,21 @@ def _fuse_vs_loops(rng, cases):
     )
 
 
+def _run_check(name: str, check, rng) -> VerifyCheck:
+    """`check(rng)`, or a failed check naming the exception it raised."""
+    try:
+        return check(rng)
+    except Exception as exc:
+        return VerifyCheck(name, False, f"raised {type(exc).__name__}: {exc}")
+
+
 def run_verification(seed: int = 0) -> list:
     """Every registered check at its `maskbench verify` case count, each on
     its own generator keyed by `seed` and the check's name, so a check may be
     added or extended anywhere in the registry without changing another's
-    inputs."""
+    inputs. A check that raises fails, and the rest still run."""
     require_int(seed, "seed", 0)
-    rngs = (np.random.default_rng([seed, zlib.crc32(n.encode())]) for n in CHECKS)
-    return [check(rng) for check, rng in zip(CHECKS.values(), rngs)]
+    return [
+        _run_check(name, check, np.random.default_rng([seed, zlib.crc32(name.encode())]))
+        for name, check in CHECKS.items()
+    ]

@@ -44,47 +44,102 @@ def mask_set_to_dict(masks: Sequence[ScoredMask], height=None, width=None) -> di
     return {"height": h, "width": w, "instances": instances}
 
 
+# The field rule of each JSON object in a mask set: its keys in the order
+# they are read, each with the exact container type its value must have
+# (None: a scalar, typed by the rule that reads it) and its default when
+# left out (_REQUIRED: none). Keys not listed are ignored.
+_REQUIRED = object()
+_DOCUMENT_FIELDS = (
+    ("height", None, _REQUIRED),
+    ("width", None, _REQUIRED),
+    ("instances", list, _REQUIRED),
+)
+_INSTANCE_FIELDS = (
+    ("counts", list, _REQUIRED),
+    ("score", None, _REQUIRED),
+    ("category", None, 0),
+)
+
+
+def _malformed(where: str, what) -> ValueError:
+    return ValueError(f"malformed mask set: {where}: {what}")
+
+
+def _fields(objects: list, fields: tuple, where: str) -> list:
+    """The values of `fields` (a field rule) in each of `objects`, as one
+    list per field. Object i is named `where.format(i)`, a text built only
+    for a rejection: one that is not an object, one that lacks a required
+    key, or a value of the wrong container type."""
+    for i, obj in enumerate(objects):
+        if not isinstance(obj, dict):
+            raise _malformed(where.format(i), f"must be an object, got {type(obj).__name__}")
+    columns = []
+    for key, kind, default in fields:
+        if default is _REQUIRED:
+            try:
+                values = [obj[key] for obj in objects]
+            except KeyError:
+                i = next(i for i, obj in enumerate(objects) if key not in obj)
+                raise _malformed(where.format(i), f"{key} is missing") from None
+        else:
+            values = [obj.get(key, default) for obj in objects]
+        if kind is not None:
+            for i, value in enumerate(values):
+                if type(value) is not kind:
+                    got = type(value).__name__
+                    raise _malformed(where.format(i), f"{key} must be a {kind.__name__}, got {got}")
+        columns.append(values)
+    return columns
+
+
 def mask_set_from_dict(doc: dict) -> list:
-    """Parse a mask-set document. The document and each instance must be
-    JSON objects, `instances` a JSON list, each instance's counts a JSON list
-    and its score a JSON number; nothing is coerced. Every rejection is a
-    ValueError starting with "malformed mask set".
+    """Parse a mask-set document, read by its field rule: the document needs
+    `height`, `width` and `instances` (a JSON list of objects), and each
+    instance `counts` (a JSON list) and `score`; an instance's `category`
+    may be left out and is then 0. Unknown keys are ignored. Nothing is
+    coerced. Every rejection is a ValueError reading "malformed mask set:
+    <where>: <what>", where <where> is "the document" or "instance <i>".
 
     The whole set is checked and decoded by one `masks.decode_counts` call,
     which applies the dimension, size-cap and count rules (to an empty set
     too) before it allocates anything; it decodes a `masks._chunks` slice
     at a time, and each slice's words are the rows of one shared read-only
-    block. Categories must be ints >= 0 (`ScoredMask`)."""
+    block. Scores must be finite numbers in (0, 1] and categories ints >= 0
+    (`ScoredMask`)."""
+    (height,), (width,), (instances,) = _fields([doc], _DOCUMENT_FIELDS, "the document")
+    counts, scores, categories = _fields(instances, _INSTANCE_FIELDS, "instance {}")
+    masks, i = [], None
     try:
-        if not isinstance(doc, dict):
-            raise ValueError(f"the document must be an object, got {type(doc).__name__}")
-        h, w, instances = doc["height"], doc["width"], doc["instances"]
-        if type(instances) is not list:
-            raise ValueError(f"instances must be a list, got {type(instances).__name__}")
-        for i, e in enumerate(instances):
-            if not isinstance(e, dict):
-                raise ValueError(f"instance {i} must be an object, got {type(e).__name__}")
-        counts = [e["counts"] for e in instances]
-        for c in counts:
-            if type(c) is not list:
-                raise ValueError(f"counts must be a list, got {type(c).__name__}")
-        masks = []
-        for e, mask in zip(instances, decode_counts(counts, h, w)):
-            score = e["score"]
-            if type(score) not in (int, float):
-                raise ValueError(f"score must be a number, got {score!r}")
-            masks.append(ScoredMask(mask, float(score), e.get("category", 0)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed mask set: {exc}") from exc
+        decoded = decode_counts(counts, height, width)
+        for i, (mask, score, category) in enumerate(zip(decoded, scores, categories)):
+            masks.append(ScoredMask(mask, score, category))
+    except ValueError as exc:
+        # A broken count rule names its mask (`masks._MaskCountsError`).
+        i = getattr(exc, "index", i)
+        raise _malformed("the document" if i is None else f"instance {i}", exc) from exc
     return masks
 
 
+def _unique_keys(pairs: list) -> dict:
+    """`json.load`'s object hook: the object, unless a key is repeated."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def read_mask_set(path) -> list:
-    with open(path) as f:
+    """The mask set in the UTF-8 JSON file at `path` (`mask_set_from_dict`).
+    A file that is not UTF-8 or not JSON, repeats a key in an object, or
+    nests arrays or objects too deeply is a ValueError reading "malformed
+    mask set: the file: <what>"."""
+    with open(path, encoding="utf-8") as f:
         try:
-            doc = json.load(f)
-        except RecursionError as exc:  # arrays or objects nested too deeply
-            raise ValueError(f"malformed mask set: {exc}") from exc
+            doc = json.load(f, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
+            raise _malformed("the file", exc) from exc
     return mask_set_from_dict(doc)
 
 

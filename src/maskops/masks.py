@@ -223,6 +223,14 @@ class RleMask:
         _checked_counts([counts], self.height * self.width)
 
 
+class _MaskCountsError(ValueError):
+    """A count rule that mask `index` of a set breaks (`decode_counts`)."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def _checked_counts(count_lists: Sequence[Sequence], pixels: int) -> tuple:
     """All counts of a set of RLE masks of `pixels` pixels each, as one flat
     int64 array, and the index in it just past each mask's last count; a
@@ -251,6 +259,18 @@ def _checked_counts(count_lists: Sequence[Sequence], pixels: int) -> tuple:
     if np.any(np.add.reduceat(counts, starts) != pixels):
         raise ValueError("counts must sum to height*width")
     return counts, ends
+
+
+def _raise_first_broken(count_lists: Sequence[Sequence], part: slice, pixels: int):
+    """Raise the rule broken by the first mask in `part` whose counts break
+    one on their own, as a `_MaskCountsError` naming that mask. Each count
+    rule is a rule of one mask's counts, so a set that breaks one has such a
+    mask."""
+    for i in range(part.start, part.stop):
+        try:
+            _checked_counts(count_lists[i : i + 1], pixels)
+        except ValueError as exc:
+            raise _MaskCountsError(i, str(exc)) from None
 
 
 def _prefix_xor(toggles: np.ndarray):
@@ -284,7 +304,8 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
     words at a time, so the arrays made from their counts stay small, and
     each slice's words are the rows of one read-only (k, height * cols)
     uint64 block. A set past MAX_MASK_SET_PIXELS (`check_mask_set_size`) is
-    a ValueError before anything is allocated."""
+    a ValueError before anything is allocated. Broken count rules are a
+    `_MaskCountsError` naming the first mask whose counts break one."""
     require_int(height, "height", 1)
     require_int(width, "width", 1)
     check_mask_set_size(height, width, len(count_lists))
@@ -292,7 +313,11 @@ def decode_counts(count_lists: Sequence[Sequence], height: int, width: int) -> l
     n_words = height * cols
     masks = []
     for part in _chunks(len(count_lists), 8 * n_words):
-        counts, ends = _checked_counts(count_lists[part], height * width)
+        try:
+            counts, ends = _checked_counts(count_lists[part], height * width)
+        except ValueError:
+            _raise_first_broken(count_lists, part, height * width)
+            raise
         block = np.zeros((len(ends), n_words), dtype=np.uint64)
         # The running sum of the counts is a toggle's pixel index p in the
         # masks laid end to end. Each mask holds whole image rows, so p is

@@ -99,6 +99,23 @@ def test_run_verification_all_pass():
         assert c.passed, f"{c.name}: {c.detail}"
 
 
+def test_a_check_that_raises_fails_and_the_rest_still_run(monkeypatch):
+    # A raising check once ended the whole run with its exception.
+    def passing(name):
+        return lambda rng: bench.VerifyCheck(name, True, "fine")
+
+    def broken(rng):
+        raise IndexError("band index 7 is out of range")
+
+    registry = {"before": passing("before"), "broken": broken, "after": passing("after")}
+    monkeypatch.setattr(bench, "CHECKS", registry)
+    assert run_verification(seed=3) == [
+        bench.VerifyCheck("before", True, "fine"),
+        bench.VerifyCheck("broken", False, "raised IndexError: band index 7 is out of range"),
+        bench.VerifyCheck("after", True, "fine"),
+    ]
+
+
 def test_each_check_draws_from_its_own_stream(monkeypatch):
     # A check's generator depends on the seed and its name only: the first
     # check drawing more numbers changes no other check's entry state.

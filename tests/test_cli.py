@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from maskops import masks
+from maskops import bench, masks
 from maskops.cli import main
 
 
@@ -132,6 +132,21 @@ def test_verify_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_reports_a_check_that_raises_and_runs_the_rest(capsys, monkeypatch):
+    # Such a check once ended verify with only "error: ..." and exit 2.
+    def broken(rng):
+        raise ValueError("diagonal and lower triangle must be zero")
+
+    monkeypatch.setitem(bench.CHECKS, "pairwise-iou", broken)
+    code, out, err = run_cli(["verify", "--seed", "1"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == len(bench.CHECKS)
+    assert "[FAIL] pairwise-iou: raised ValueError: diagonal and lower triangle must be zero" in lines
+    assert sum(line.startswith("[PASS] ") for line in lines) == len(bench.CHECKS) - 1
+    assert err == f"1 of {len(bench.CHECKS)} checks failed\n"
+
+
 def test_missing_input_exits_2(capsys):
     code, _, err = run_cli(["suppress", "/nonexistent/scene.json"], capsys)
     assert code == 2
@@ -171,7 +186,7 @@ def test_empty_mask_set_with_bad_dims_exits_2(tmp_path, capsys, dims):
     assert out == ""
     # Height is checked first, so a bad height is the one named.
     name, value = ("height", dims[0]) if dims[0] < 1 else ("width", dims[1])
-    assert f"malformed mask set: {name} must be an int >= 1, got {value}\n" in err
+    assert f"malformed mask set: the document: {name} must be an int >= 1, got {value}\n" in err
 
 
 @pytest.mark.parametrize("instances", [{}, "", {"a": 1}])
@@ -183,18 +198,20 @@ def test_non_list_instances_exits_2(tmp_path, capsys, instances):
     assert code == 2
     assert out == ""
     kind = type(instances).__name__
-    assert f"malformed mask set: instances must be a list, got {kind}\n" in err
+    assert f"malformed mask set: the document: instances must be a list, got {kind}\n" in err
 
 
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"height": 4, "width": 4, "instances": ["abc"]}, "instance 0 must be an object, got str"),
-        ({"height": 4, "width": 4, "instances": [None]}, "instance 0 must be an object, got NoneType"),
+        ({"height": 4, "width": 4, "instances": ["abc"]}, "instance 0: must be an object, got str"),
+        ({"height": 4, "width": 4, "instances": [None]}, "instance 0: must be an object, got NoneType"),
         ({"height": 4, "width": 4, "instances": [{"counts": [16], "score": 0.5}, 7]},
-         "instance 1 must be an object, got int"),
-        ([1, 2], "the document must be an object, got list"),
+         "instance 1: must be an object, got int"),
+        ([1, 2], "the document: must be an object, got list"),
     ],
+    # Each id is the message without the colon after its location.
+    ids=lambda v: v.replace(":", "") if isinstance(v, str) else None,
 )
 def test_non_object_mask_set_exits_2(tmp_path, capsys, doc, message):
     # Each once exited 2 with Python's indexing message, such as "string
@@ -205,6 +222,42 @@ def test_non_object_mask_set_exits_2(tmp_path, capsys, doc, message):
     assert code == 2
     assert out == ""
     assert err == f"error: malformed mask set: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "content, what",
+    [
+        (b'{"height": 4, "width": 4, "instances": [}', "Expecting value: line 1 column 41"),
+        (b'{"height": 4, "width": 4, "instances": []}\xff', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"height": 2, "width": 4, "instances": [], "height": 3}', 'repeated key "height"'),
+    ],
+    ids=["syntax", "not-utf-8", "repeated-key"],
+)
+def test_unreadable_mask_set_file_exits_2(tmp_path, capsys, content, what):
+    # The first two once printed the bare JSON or codec error; the repeated
+    # key was read last-wins, with exit 0.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(["suppress", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed mask set: the file: ")
+    assert what in err
+
+
+def test_missing_field_names_its_instance_and_no_category_is_0(tmp_path, capsys):
+    instances = [{"counts": [16], "score": 0.9}, {"counts": [16], "score": 0.8}]
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"height": 4, "width": 4, "instances": instances}))
+    code, out, _ = run_cli(["suppress", str(ok)], capsys)
+    assert code == 0
+    assert [k["category"] for k in json.loads(out)["kept"]] == [0, 0]
+    del instances[1]["score"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"height": 4, "width": 4, "instances": instances}))
+    code, out, err = run_cli(["suppress", str(bad)], capsys)
+    assert code == 2
+    assert err == "error: malformed mask set: instance 1: score is missing\n"
 
 
 def test_oversized_mask_set_exits_2(tmp_path, capsys):
@@ -230,7 +283,7 @@ def test_oversized_empty_mask_set_exits_2(tmp_path, capsys, side):
     assert out == ""
     row = -(-side // 64) * 64
     assert err == (
-        f"error: malformed mask set: 0 masks of {side}x{side} (rows padded to "
+        f"error: malformed mask set: the document: 0 masks of {side}x{side} (rows padded to "
         f"{row} pixels) exceed {masks.MAX_MASK_SET_PIXELS} pixels\n"
     )
 
@@ -247,7 +300,7 @@ def test_one_pixel_wide_mask_set_is_capped_by_padded_rows(tmp_path, capsys, monk
     code, out, err = run_cli(["suppress", str(narrow)], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: malformed mask set: 1 masks of 134217728x1")
+    assert err.startswith("error: malformed mask set: the document: 1 masks of 134217728x1")
     assert "exceed" in err
 
 

@@ -1,6 +1,12 @@
 import gc
 import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +148,60 @@ def test_malformed_mask_set(doc):
         mask_set_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"width": 2, "instances": []}, "the document: height is missing"),
+        ({"height": 2, "instances": []}, "the document: width is missing"),
+        ({"height": 2, "width": 2}, "the document: instances is missing"),
+        ({"height": 2, "width": 2, "instances": [{"score": 0.5}]},
+         "instance 0: counts is missing"),
+        ({"height": 2, "width": 2, "instances": [{"counts": [4], "score": 0.5}, {"counts": [4]}]},
+         "instance 1: score is missing"),
+    ],
+)
+def test_mask_set_names_a_missing_field_and_its_object(doc, message):
+    # A missing key once read as Python's KeyError text, e.g. "'score'".
+    with pytest.raises(ValueError) as info:
+        mask_set_from_dict(doc)
+    assert str(info.value) == f"malformed mask set: {message}"
+
+
+@pytest.mark.parametrize("scratch", [1, 1 << 17])
+def test_mask_set_names_the_first_instance_whose_counts_break_a_rule(monkeypatch, scratch):
+    # A one-byte scratch decodes each instance in a chunk of its own.
+    monkeypatch.setattr(masks_module, "_SCRATCH_BYTES", scratch)
+    good, short, floats = ({"counts": c, "score": 0.5} for c in ([4], [1, 2], [2.0, 2]))
+    doc = {"height": 2, "width": 2, "instances": [good, good, short, good, floats]}
+    with pytest.raises(ValueError) as info:
+        mask_set_from_dict(doc)
+    assert str(info.value) == "malformed mask set: instance 2: counts must sum to height*width"
+
+
+def test_mask_set_category_defaults_to_0_and_unknown_keys_are_ignored():
+    doc = {"height": 1, "width": 2, "source": "camera 3",
+           "instances": [{"counts": [2], "score": 0.5, "note": "blurred"}]}
+    empty = BinaryMask.from_array(np.zeros((1, 2), bool))
+    assert mask_set_from_dict(doc) == [ScoredMask(empty, 0.5, 0)]
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ('{"height": 1, "width": 1, "instances": [], "height": 2}', 'repeated key "height"'),
+        ('{"height": 1, "width": 1, "instances": [{"counts": [1], "score": 0.5, "score": 1.0}]}',
+         'repeated key "score"'),
+    ],
+    ids=["document-key", "instance-key"],
+)
+def test_read_mask_set_rejects_a_repeated_key(tmp_path, text, what):
+    # A repeated key was once read last-wins.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^malformed mask set: the file: {what}$"):
+        read_mask_set(path)
+
+
 def test_mask_set_pixel_cap(monkeypatch):
     # The cap admits a COCO-scale set and the benchmark's largest set.
     assert 100 * 640 * 480 <= masks_module.MAX_MASK_SET_PIXELS
@@ -151,7 +211,7 @@ def test_mask_set_pixel_cap(monkeypatch):
     inst = {"counts": [10], "score": 0.5}
     doc = {"height": 2, "width": 5, "instances": [inst, inst]}
     assert len(mask_set_from_dict(doc)) == 2
-    with pytest.raises(ValueError, match="malformed mask set: 3 masks"):
+    with pytest.raises(ValueError, match="malformed mask set: the document: 3 masks"):
         mask_set_from_dict({**doc, "instances": [inst] * 3})
 
 
@@ -215,7 +275,8 @@ _documents = (
 def test_mask_set_from_dict_returns_or_raises_value_error(doc):
     try:
         masks = mask_set_from_dict(doc)
-    except ValueError:
+    except ValueError as exc:
+        assert re.match(r"malformed mask set: (the document|instance \d+): ", str(exc))
         return
     assert all(isinstance(m, ScoredMask) for m in masks)
 
@@ -240,6 +301,80 @@ def test_mask_set_dict_round_trip(case):
     h, w, masks = case
     doc = json.loads(to_json(mask_set_to_dict(masks, h, w)))
     assert mask_set_from_dict(doc) == masks
+
+
+# One value of each JSON type: a swap puts in one of another type.
+_JSON_KINDS = (None, True, 7, 0.5, "x", [], {})
+_SHAPE_MUTATIONS = ("drop", "swap", "wrap", "nest")
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid mask-set document with one value mutated, the object and
+    field a rejection must name, and the mutation: a dropped key, a value
+    of another JSON type, the value wrapped in a list or nested in an
+    object, an int set to 10**400, or a float set to NaN or an infinity."""
+    h, w, masks = draw(_mask_sets())
+    doc = json.loads(to_json(mask_set_to_dict(masks, h, w)))
+    # (holder, key, where, field) for each field and each count.
+    slots = [(doc, key, "the document", key) for key in doc]
+    for i, inst in enumerate(doc["instances"]):
+        slots += [(inst, key, f"instance {i}", key) for key in inst]
+        slots += [(inst["counts"], j, f"instance {i}", "counts") for j in range(len(inst["counts"]))]
+    holder, key, where, field = draw(st.sampled_from(slots))
+    value = holder[key]
+    kinds = ["swap", "wrap", "nest"] + ["drop"] * isinstance(holder, dict)
+    kinds += ["huge"] * (type(value) is int) + ["nan", "inf", "-inf"] * (type(value) is float)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del holder[key]
+    elif kind == "swap":
+        holder[key] = draw(st.sampled_from([v for v in _JSON_KINDS if type(v) is not type(value)]))
+    elif kind == "wrap":
+        holder[key] = [value]
+    elif kind == "nest":
+        holder[key] = {"v": value}
+    elif kind == "huge":
+        holder[key] = 10**400
+    else:
+        holder[key] = float(kind)
+    if (field, kind) == ("instances", "wrap"):
+        where, field = "instance 0", "object"  # the old list is instance 0
+    return doc, where, field, kind
+
+
+@settings(deadline=None, max_examples=300)
+@given(_mutated_documents())
+def test_a_mutated_mask_set_decodes_or_names_what_is_wrong(case):
+    doc, where, field, kind = case
+    try:
+        masks = mask_set_from_dict(doc)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"malformed mask set: {where}: "), message
+        if kind in _SHAPE_MUTATIONS:
+            assert field in message, message
+        return
+    # Only the category may be left out, and any int >= 0 is one.
+    assert field == "category" and kind in ("drop", "huge")
+    assert all(isinstance(m, ScoredMask) for m in masks)
+
+
+@settings(deadline=None, max_examples=15)
+@given(_mutated_documents())
+def test_a_mutated_mask_set_file_exits_0_or_2(case):
+    src = Path(masks_module.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(case[0]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "maskops.cli", "suppress", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @st.composite
@@ -297,8 +432,9 @@ def test_mask_set_shares_one_read_only_block():
 
 @pytest.mark.parametrize("counts", ["55", (5, 5), {"5": 5}, 10])
 def test_mask_set_counts_must_be_a_list(counts):
-    doc = {"height": 1, "width": 10, "instances": [{"counts": counts, "score": 0.5}]}
-    with pytest.raises(ValueError, match="malformed mask set: counts must be a list"):
+    instances = [{"counts": [10], "score": 0.5}, {"counts": counts, "score": 0.5}]
+    doc = {"height": 1, "width": 10, "instances": instances}
+    with pytest.raises(ValueError, match="malformed mask set: instance 1: counts must be a list"):
         mask_set_from_dict(doc)
 
 

@@ -124,7 +124,7 @@ def test_mask_set_reader_applies_the_rle_rules(h, w, counts, message):
     # A valid mask first, so the bad one is not the set's first.
     instances = [{"counts": [h * w], "score": 0.5}, {"counts": list(counts), "score": 0.5}]
     doc = {"height": h, "width": w, "instances": instances}
-    with pytest.raises(ValueError, match=f"malformed mask set: .*{message}"):
+    with pytest.raises(ValueError, match=f"malformed mask set: instance 1: .*{message}"):
         mask_set_from_dict(doc)
 
 
