@@ -426,6 +426,46 @@ def _soft_matrix_n2(rng, cases):
     return _failures(bad, cases, "1-2 mask inputs: matrix_nms equals soft_nms exactly")
 
 
+@_check("soft-vs-loops", 100)
+def _soft_vs_loops(rng, cases):
+    """soft_nms against the per-pair loop `reference.soft_nms_loops` for
+    both decays at score thresholds 0, 0.05 and 0.3; kept indices and score
+    bits must be identical. Every tenth case is a generated scene; the rest
+    are 1-40 masks whose scores tie and whose IoUs are 0, 1, a threshold or
+    uniform."""
+    bad = []
+    for case in range(cases):
+        if case % 10 == 0:
+            masks = _sorted_scene(_random_spec(rng, max_instances=12))
+            ious = pairwise_iou_matrix([m.mask for m in masks])
+        else:
+            n = int(rng.integers(1, 41))
+            levels = rng.choice([0.0, 0.05, 0.3, 1.0, -1.0], (n, n))
+            ious = IoUMatrix(np.triu(np.where(levels < 0, rng.random((n, n)), levels), 1))
+            scores = rng.choice([0.05, 0.3, 0.6, 0.9, -1.0], n)
+            scores = np.where(scores < 0, rng.uniform(0.01, 1.0, n), scores)
+            masks = [ScoredMask(_DOT, float(s)) for s in np.sort(scores)[::-1]]
+        rows = ious.values.tolist()
+        for decay, threshold in itertools.product(
+            (DecayFn("gauss", 0.5), DecayFn("linear")), (0.0, 0.05, 0.3)
+        ):
+            got = soft_nms(masks, decay, threshold, ious=ious)
+            kept, kept_scores = reference.soft_nms_loops(
+                [m.score for m in masks], rows, decay, threshold
+            )
+            bits = np.asarray(got.updated_scores, "<f8").tobytes()
+            want = np.asarray(kept_scores, "<f8").tobytes()
+            if list(got.kept_indices) != kept or bits != want:
+                bad.append(case)
+                break
+    return _failures(
+        bad,
+        cases,
+        "inputs x 2 decays x 3 thresholds: soft_nms keeps the loop's indices "
+        "and score bits",
+    )
+
+
 def _threshold_scenes(rng, cases: int):
     """(masks, ious, iou_threshold) for `cases` small duplicate-heavy scenes."""
     for _ in range(cases):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -27,6 +28,17 @@ MAX_MASK_SET_PIXELS = 1 << 27
 # `pairwise_iou_matrix` and `IoUMatrix` take the IoU rows the same way.
 _SCRATCH_BYTES = 1 << 17
 
+# Most characters of a rejected value that an error message shows.
+_SHOWN_CHARS = 80
+
+
+def _shown(value) -> str:
+    """`repr(value)` for an error message, or when that runs past
+    _SHOWN_CHARS characters, `reprlib`'s abbreviation of it cut to that
+    length: a 200000-element list is shown by its first few items."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else reprlib.repr(value)[:_SHOWN_CHARS]
+
 
 def require_int(value, name: str, minimum: int) -> int:
     """`value` if it is a Python int >= `minimum`, else a ValueError.
@@ -35,7 +47,7 @@ def require_int(value, name: str, minimum: int) -> int:
     integer scalars are rejected rather than coerced. Every exact-int check
     in the package is a call to this function."""
     if type(value) is not int or value < minimum:
-        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be an int >= {minimum}, got {_shown(value)}")
     return value
 
 
@@ -52,7 +64,7 @@ def require_finite(value, name: str):
         finite = False
     if isinstance(value, (bool, np.bool_)) or not finite:
         raise ValueError(
-            f"{name} must be a real number (finite, not bool), got {value!r}"
+            f"{name} must be a real number (finite, not bool), got {_shown(value)}"
         )
     return value
 

@@ -104,6 +104,37 @@ def greedy_keep(masks: Sequence[ScoredMask], iou_threshold: float) -> list:
     return kept
 
 
+def soft_nms_loops(
+    scores: Sequence[float],
+    iou_rows: Sequence[Sequence[float]],
+    decay,
+    score_threshold: float,
+) -> tuple:
+    """Soft NMS one (winner, survivor) pair at a time, each penalty its own
+    `decay.penalty` call: repeatedly select the highest current score (the
+    lowest index on ties), keep it if it is above the threshold and zero,
+    and decay every other survivor. `iou_rows` is the strictly upper IoU
+    matrix of score-sorted masks. Returns (kept indices, their scores) in
+    index order."""
+    scores = list(scores)
+    alive = list(range(len(scores)))
+    kept = []
+    while alive:
+        # `alive` stays in index order, so ties go to the lowest index.
+        best = max(alive, key=scores.__getitem__)
+        if not (scores[best] > score_threshold and scores[best] > 0.0):
+            break  # scores only decay; nothing left can pass the keep test
+        kept.append(best)
+        alive.remove(best)
+        for k in alive:
+            iou = iou_rows[min(best, k)][max(best, k)]
+            scores[k] = scores[k] * decay.penalty(iou)
+        alive = [k for k in alive if scores[k] >= score_threshold]
+    # A kept mask is never decayed again, so `scores` holds its kept score.
+    kept.sort()
+    return kept, [scores[k] for k in kept]
+
+
 def column_max_keep(iou_rows: Sequence[Sequence[float]], iou_threshold: float) -> list:
     """Keep j iff every higher-scored i (kept or not) has iou[i][j] <= threshold."""
     n = len(iou_rows)

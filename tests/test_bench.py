@@ -17,7 +17,7 @@ from maskops import (
     run_verification,
     score_checksum,
 )
-from maskops import dynahead, scenes
+from maskops import dynahead, scenes, suppression
 from maskops.bench import VerificationError, seeded_pipeline_inputs
 
 SMALL = SceneSpec(num_instances=6, num_duplicates_per_instance=2, seed=2)
@@ -84,6 +84,7 @@ def test_run_verification_all_pass():
         "pairwise-iou",
         "matrix-vs-naive",
         "soft-matrix-n2",
+        "soft-vs-loops",
         "hard-vs-greedy",
         "fast-subset-hard",
         "conv-vs-loops",
@@ -231,6 +232,19 @@ def test_rle_check_catches_a_wrong_encoder_and_a_lost_chunk(monkeypatch):
     monkeypatch.setattr(bench, "encode_counts", lost_chunk)
     got = check(np.random.default_rng(0))
     assert not got.passed and "30/31 sets" in got.detail
+
+
+def test_soft_check_catches_a_walk_that_keeps_the_threshold(monkeypatch):
+    check = bench.CHECKS["soft-vs-loops"]
+    assert check(np.random.default_rng(0)).passed
+    real = suppression._keep_floor
+
+    def just_below(threshold):  # a score equal to a positive threshold survives
+        floor = real(threshold)
+        return np.nextafter(floor, 0.0) if floor > 0.0 else floor
+
+    monkeypatch.setattr(suppression, "_keep_floor", just_below)
+    assert not check(np.random.default_rng(0)).passed
 
 
 def test_scene_check_catches_a_wrong_painter(monkeypatch):

@@ -260,6 +260,17 @@ def test_missing_field_names_its_instance_and_no_category_is_0(tmp_path, capsys)
     assert err == "error: malformed mask set: instance 1: score is missing\n"
 
 
+def test_a_long_score_list_exits_2_with_a_short_message(tmp_path, capsys):
+    # The whole list was once printed: about 1 MB of stderr.
+    doc = {"height": 4, "width": 4, "instances": [{"counts": [16], "score": [0.5] * 200000}]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["suppress", str(path)], capsys)
+    assert code == 2
+    assert len(err.encode()) < 300
+    assert err.startswith("error: malformed mask set: instance 0: score must be a real number")
+
+
 def test_oversized_mask_set_exits_2(tmp_path, capsys):
     # A count past int64 once escaped as an OverflowError traceback.
     huge = tmp_path / "huge.json"

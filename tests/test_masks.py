@@ -23,7 +23,7 @@ from maskops import (
 from maskops import masks as masks_module
 from maskops import reference
 from maskops.formats import mask_set_from_dict
-from maskops.masks import require_int
+from maskops.masks import require_finite, require_int
 
 
 def random_mask(rng, max_dim=20):
@@ -755,6 +755,26 @@ def test_require_int_rejects_non_ints(bad):
         require_int(bad, "n", 1)
     with pytest.raises(ValueError, match="got 0"):
         require_int(0, "n", 1)
+
+
+def test_rejection_messages_show_a_bounded_value():
+    checks = (
+        (lambda v: require_int(v, "n", 1), "n must be an int >= 1, got "),
+        (lambda v: require_finite(v, "s"), "s must be a real number (finite, not bool), got "),
+    )
+    for check, prefix in checks:
+        # A 200000-element list once became a 1.5-million-character message.
+        with pytest.raises(ValueError) as info:
+            check([0.5] * 200000)
+        assert str(info.value) == prefix + "[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...]"
+        with pytest.raises(ValueError) as info:
+            check("y" * 1000)
+        assert str(info.value) == prefix + "'yyyyyyyyyyyy...yyyyyyyyyyyyy'"
+        # A value whose repr fits in 80 characters is shown whole, as before.
+        for value in ("0.5", [1.5] * 10, "x" * 78, None):
+            with pytest.raises(ValueError) as info:
+                check(value)
+            assert str(info.value) == prefix + repr(value)
 
 
 @pytest.mark.parametrize("bad", NOT_EXACT_INTS)

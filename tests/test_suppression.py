@@ -17,7 +17,7 @@ from maskops import (
     sort_by_score,
     suppress,
 )
-from maskops.reference import naive_matrix_decay
+from maskops.reference import greedy_keep, naive_matrix_decay, soft_nms_loops
 from maskops.suppression import METHODS, run_method
 
 DUMMY = BinaryMask.from_array([[1]])
@@ -343,50 +343,45 @@ def test_suppress_matches_a_sort_per_group(method, masks):
     assert list(zip(got.kept_indices, got.updated_scores)) == pairs
 
 
-def _soft_nms_by_hand(scores, vals, decay, score_threshold):
-    """soft_nms's selection loop written out with side lists: the first of
-    equal maxima is selected, and the kept entries are re-sorted by index."""
-    scores = list(scores)
-    sym = (vals + vals.T).tolist()
-    alive = list(range(len(scores)))
-    kept, kept_scores = [], []
-    while alive:
-        best = alive[0]
-        for k in alive[1:]:
-            if scores[k] > scores[best]:
-                best = k
-        s = scores[best]
-        if not (s > score_threshold and s > 0.0):
-            break
-        kept.append(best)
-        kept_scores.append(s)
-        alive.remove(best)
-        if not alive:
-            break
-        survivors = []
-        for k in alive:
-            scores[k] = scores[k] * decay.penalty(sym[best][k])
-            if scores[k] >= score_threshold:
-                survivors.append(k)
-        alive = survivors
-    order = sorted(range(len(kept)), key=lambda t: kept[t])
-    return [kept[t] for t in order], [kept_scores[t] for t in order]
+def _bits(scores):
+    return np.asarray(scores, dtype="<f8").tobytes()
 
 
 @settings(deadline=None, max_examples=200)
 @given(data=st.data())
 def test_soft_nms_matches_the_loop_by_hand(data):
+    # Scores tie, and both scores and IoUs sit exactly at the threshold.
     n = data.draw(st.integers(0, 10))
-    level = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    threshold = data.draw(st.sampled_from([0.0, 0.05, 0.3]))
+    level = st.sampled_from([0.0, threshold, 1.0]) | st.floats(0.0, 1.0)
     drawn = data.draw(st.lists(level, min_size=n * n, max_size=n * n))
     vals = np.triu(np.reshape(drawn, (n, n)), 1)
-    score = st.sampled_from([0.3, 0.6, 0.9]) | st.floats(0.01, 1.0)
+    score = st.sampled_from([0.05, 0.3, 0.6, 0.9]) | st.floats(0.01, 1.0)
     scores = sorted(data.draw(st.lists(score, min_size=n, max_size=n)), reverse=True)
     decay = data.draw(st.sampled_from([DecayFn("gauss", 0.5), DecayFn("linear")]))
-    threshold = data.draw(st.sampled_from([0.0, 0.05, 0.2]))
     res = soft_nms(scored(*scores), decay, threshold, ious=IoUMatrix(vals))
-    want = _soft_nms_by_hand(scores, vals, decay, threshold)
-    assert (list(res.kept_indices), list(res.updated_scores)) == want
+    kept, kept_scores = soft_nms_loops(scores, vals.tolist(), decay, threshold)
+    assert list(res.kept_indices) == kept
+    assert _bits(res.updated_scores) == _bits(kept_scores)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_hard_nms_keeps_the_greedy_oracles_set(data):
+    # Strips of one 12-pixel row: equal spans overlap at IoU 1, apart at 0,
+    # and the threshold is often one of the IoUs the strips realize.
+    n = data.draw(st.integers(0, 10))
+    lows = data.draw(st.lists(st.integers(0, 11), min_size=n, max_size=n))
+    highs = [data.draw(st.integers(lo + 1, 12)) for lo in lows]
+    score = st.sampled_from([0.3, 0.6, 0.9]) | st.floats(0.01, 1.0)
+    scores = sorted(data.draw(st.lists(score, min_size=n, max_size=n)), reverse=True)
+    masks = [strip(lo, hi, s, width=12) for lo, hi, s in zip(lows, highs, scores)]
+    ious = pairwise_iou_matrix([m.mask for m in masks])
+    realized = sorted(set(ious.values[np.triu_indices(n, 1)].tolist()) | {0.0, 1.0})
+    threshold = data.draw(st.sampled_from(realized) | st.floats(0.0, 1.0))
+    res = hard_nms(masks, ious, threshold)
+    assert list(res.kept_indices) == greedy_keep(masks, threshold)
+    assert res.updated_scores == tuple(scores[j] for j in res.kept_indices)
 
 
 def strip(lo, hi, score, width=30):
@@ -455,6 +450,17 @@ def test_suppression_result_validation():
         SuppressionResult((0,), (1.5,))
     with pytest.raises(ValueError):
         SuppressionResult((0, 1), (0.5,))
+    # Indices are exact ints >= 0 and scores finite reals: ("3", 1.7, False)
+    # once read as (3, 1, 0), and "0.5" as 0.5.
+    for index in ("3", 1.7, False, -1, np.int64(3)):
+        with pytest.raises(ValueError, match="kept index"):
+            SuppressionResult((index,), (0.5,))
+    for score in ("0.5", True, np.nan, None):
+        with pytest.raises(ValueError, match="updated score"):
+            SuppressionResult((0,), (score,))
+    res = SuppressionResult((3, 0), (1, np.float64(0.25)))
+    assert res.updated_scores == (1.0, 0.25)
+    assert [type(s) for s in res.updated_scores] == [float, float]
 
 
 def test_config_validation():
